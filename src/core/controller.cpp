@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
-
-#include "runtime/channel.hpp"
 
 namespace jaal::core {
 namespace {
@@ -19,6 +16,15 @@ inference::EngineConfig merged_engine_config(const JaalConfig& cfg) {
   e.record_provenance = e.record_provenance && cfg.observe.provenance;
   return e;
 }
+
+// close_epoch's stages, by span name; each stage's kSpan event carries
+// telemetry::profile_stage_id(name).
+constexpr std::string_view kObserve = "observe";
+constexpr std::string_view kSummarize = "summarize";
+constexpr std::string_view kShip = "ship";
+constexpr std::string_view kAggregate = "aggregate";
+constexpr std::string_view kInfer = "infer";
+constexpr std::string_view kPostprocess = "postprocess";
 
 }  // namespace
 
@@ -45,42 +51,7 @@ JaalController::JaalController(const JaalConfig& cfg,
   if (cfg_.observe.slo) {
     slo_ = std::make_unique<observe::SloTracker>(cfg_.observe.slo_config);
   }
-  if (cfg_.telemetry != nullptr) {
-    tier_.set_telemetry(cfg_.telemetry);
-    transport_.set_telemetry(cfg_.telemetry);
-    auto& m = cfg_.telemetry->metrics;
-    tel_degraded_epochs_ = &m.counter("jaal_faults_degraded_epochs_total");
-    tel_rolled_forward_ =
-        &m.counter("jaal_faults_summaries_rolled_forward_total");
-    tel_packets_lost_ = &m.counter("jaal_faults_packets_lost_total");
-    tel_drift_events_ = &m.counter("jaal_observe_drift_events_total");
-    tel_monitors_drifting_ = &m.gauge("jaal_observe_monitors_drifting");
-    tel_caution_permille_ = &m.gauge("jaal_observe_caution_permille");
-    if (cfg_.observe.flight_recorder || cfg_.store_metrics) {
-      tel_flight_events_ = &m.counter("jaal_observe_flight_events_total");
-      tel_flight_dropped_ = &m.counter("jaal_observe_flight_dropped_total");
-      tel_flight_dumps_ = &m.counter("jaal_observe_flight_dumps_total");
-    }
-    if (cfg_.observe.slo) {
-      tel_slo_epochs_ = &m.counter("jaal_slo_epochs_observed_total");
-      tel_slo_rf_breaches_ =
-          &m.counter("jaal_slo_report_fraction_breaches_total");
-      tel_slo_lat_breaches_ = &m.counter("jaal_slo_stage_ms_breaches_total");
-      tel_slo_burn_ = &m.gauge("jaal_slo_burn_rate_permille");
-      tel_slo_rf_budget_ =
-          &m.gauge("jaal_slo_report_fraction_budget_remaining_permille");
-      tel_slo_lat_budget_ =
-          &m.gauge("jaal_slo_stage_ms_budget_remaining_permille");
-    }
-    if (cfg_.observe.profile) {
-      tel_profile_path_ms_ = &m.histogram("jaal_profile_critical_path_ms");
-      tel_profile_epochs_ = &m.counter("jaal_profile_epochs_total");
-      tel_profile_stragglers_ = &m.counter("jaal_profile_stragglers_total");
-    }
-    // One stats system: the pool's runtime counters land in the same
-    // registry (and the same exports) as every other jaal metric.
-    if (pool_) pool_->stats().bind(&cfg_.telemetry->metrics);
-  }
+  if (cfg_.telemetry != nullptr) bind_telemetry(*cfg_.telemetry);
   if (!cfg_.store_dir.empty()) {
     // Open (and recover) the persistence layer before any epoch runs: torn
     // shard tails and uncommitted epochs are truncated here, and the epoch
@@ -112,6 +83,39 @@ JaalController::JaalController(const JaalConfig& cfg,
   }
 }
 
+void JaalController::bind_telemetry(telemetry::Telemetry& tel) {
+  tier_.set_telemetry(&tel);
+  transport_.set_telemetry(&tel);
+  auto& m = tel.metrics;
+  tel_degraded_epochs_ = &m.counter("jaal_faults_degraded_epochs_total");
+  tel_rolled_forward_ =
+      &m.counter("jaal_faults_summaries_rolled_forward_total");
+  tel_packets_lost_ = &m.counter("jaal_faults_packets_lost_total");
+  tel_drift_events_ = &m.counter("jaal_observe_drift_events_total");
+  tel_monitors_drifting_ = &m.gauge("jaal_observe_monitors_drifting");
+  tel_caution_permille_ = &m.gauge("jaal_observe_caution_permille");
+  if (cfg_.observe.flight_recorder || cfg_.store_metrics) {
+    // The flight family exists whenever events are raised — into the ring,
+    // the persisted ops stream, or both.
+    tel_flight_events_ = &m.counter("jaal_observe_flight_events_total");
+    tel_flight_dumps_ = &m.counter("jaal_observe_flight_dumps_total");
+    if (flight_) {
+      flight_->bind(m);
+    } else {
+      (void)m.counter(observe::FlightRecorder::kDroppedMetric);
+    }
+  }
+  if (slo_) slo_->bind(m);
+  if (cfg_.observe.profile) {
+    tel_profile_path_ms_ = &m.histogram("jaal_profile_critical_path_ms");
+    tel_profile_epochs_ = &m.counter("jaal_profile_epochs_total");
+    tel_profile_stragglers_ = &m.counter("jaal_profile_stragglers_total");
+  }
+  // One stats system: the pool's runtime counters land in the same
+  // registry (and the same exports) as every other jaal metric.
+  if (pool_) pool_->stats().bind(&m);
+}
+
 std::optional<runtime::RuntimeStatsSnapshot> JaalController::runtime_stats()
     const {
   if (!pool_) return std::nullopt;
@@ -132,172 +136,211 @@ void JaalController::ingest(const packet::PacketRecord& pkt) {
   ++epoch_packets_;
 }
 
+// ---- per-epoch recorder -----------------------------------------------------
+
+/// Everything one epoch close reports about itself, declared once.  The
+/// recorder owns the epoch's root span and its flight-event stream: each
+/// event is stamped with the epoch and the next deployment-wide sequence
+/// number, written to the ring (flight_recorder on), collected for the
+/// store's kEvents batch (store_metrics on) and counted.  Every event is
+/// raised from the serial phases of close_epoch, so the stream is
+/// deterministic across runs and thread counts.
+struct JaalController::EpochRecorder {
+  /// One open stage.  Closing it (scope exit) finishes its span, records
+  /// its kSpan event (actor = telemetry::profile_stage_id) and, on a pool,
+  /// its runtime stage timer.
+  struct Stage {
+    EpochRecorder& rec;
+    std::uint8_t id;
+    telemetry::Span span;
+    runtime::StageTimer timer;
+    ~Stage() {
+      span.finish();
+      rec.event({.kind = observe::FlightEventKind::kSpan,
+                 .actor = id,
+                 .a = rec.now});
+    }
+  };
+
+  EpochRecorder(JaalController& controller, std::uint64_t epoch_id,
+                double sim_now)
+      : ctl(controller),
+        epoch(epoch_id),
+        now(sim_now),
+        tel(controller.cfg_.telemetry),
+        profiling(tel != nullptr && controller.cfg_.observe.profile),
+        persist_ops(controller.store_ != nullptr &&
+                    controller.cfg_.store_metrics),
+        // Wall clock only feeds the latency SLI (never a persisted or
+        // deterministic output); skip the read when SLO is off.
+        wall_start(controller.slo_ ? std::chrono::steady_clock::now()
+                                   : std::chrono::steady_clock::time_point{}),
+        fallbacks_at_open(
+            controller.tier_.engine().stats().feedback_fallbacks),
+        // One trace per epoch: the trace id is the epoch index, and the
+        // simulated end time rides along so traces line up across runs.
+        root(tel != nullptr ? tel->tracer.span("epoch", {}, epoch)
+                            : telemetry::Span{}) {
+    root.set_sim_time(now);
+  }
+
+  [[nodiscard]] Stage stage(std::string_view name) {
+    return {*this, telemetry::profile_stage_id(name),
+            tel != nullptr
+                ? tel->tracer.span(std::string(name), root.context())
+                : telemetry::Span{},
+            {ctl.pool_ ? &ctl.pool_->stats() : nullptr, std::string(name)}};
+  }
+
+  void event(observe::FlightEvent ev) {
+    if (ctl.flight_ == nullptr && !persist_ops) return;
+    ev.epoch = epoch;
+    ev.seq = ctl.flight_seq_++;
+    if (ctl.flight_) ctl.flight_->record(ev);
+    if (persist_ops) persisted.push_back(ev);
+    if (ctl.tel_flight_events_ != nullptr) ctl.tel_flight_events_->add(1);
+  }
+
+  JaalController& ctl;
+  const std::uint64_t epoch;
+  const double now;
+  telemetry::Telemetry* const tel;
+  const bool profiling;
+  const bool persist_ops;
+  const std::chrono::steady_clock::time_point wall_start;
+  /// The root engine's lifetime fallback count when the epoch opened (the
+  /// health ledger takes the per-epoch delta).
+  const std::uint64_t fallbacks_at_open;
+  telemetry::Span root;
+  /// This epoch's flight events, for the store's kEvents batch.
+  std::vector<observe::FlightEvent> persisted;
+};
+
+// ---- close_epoch and its stages ---------------------------------------------
+
 EpochResult JaalController::close_epoch(double now) {
-  // Wall clock only feeds the latency SLI (never any persisted or
-  // deterministic output); skip the clock reads entirely when SLO is off.
-  const auto wall_start = slo_ ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
-  // Per-epoch feedback-fallback delta for the health ledger (engine stats
-  // are monotonic across epochs).
-  const std::uint64_t fallbacks_before =
-      tier_.engine().stats().feedback_fallbacks;
+  EpochRecorder rec(*this, epoch_index_++, now);
+  EpochResult result = open_epoch(rec);
+  const std::uint64_t ship_bytes = summarize(result, rec);
+  ship(result, ship_bytes, rec);
+  if (tier_.pending() > 0) {
+    aggregate(rec);
+    infer(result, rec);
+  }
+  close_out(result, rec);
+  return result;
+}
+
+EpochResult JaalController::open_epoch(EpochRecorder& rec) {
   EpochResult result;
-  result.end_time = now;
+  result.end_time = rec.now;
   result.packets = epoch_packets_;
   result.packets_lost = epoch_lost_packets_;
   epoch_packets_ = 0;
   epoch_lost_packets_ = 0;
-  const std::uint64_t epoch = epoch_index_;
-  ++epoch_index_;
-
-  // Flight events: recorded into the ring (flight_recorder on) and/or
-  // collected for the store's per-epoch kEvents batch (store_metrics on).
-  // All emission points sit in the serial phases of this function, so the
-  // event sequence is deterministic across runs and thread counts.
-  const bool persist_ops = store_ != nullptr && cfg_.store_metrics;
-  std::vector<observe::FlightEvent> fr_events;
-  const auto fev = [&](observe::FlightEvent ev) {
-    if (flight_ == nullptr && !persist_ops) return;
-    ev.epoch = epoch;
-    ev.seq = flight_seq_++;
-    if (flight_) flight_->record(ev);
-    if (persist_ops) fr_events.push_back(ev);
-    if (tel_flight_events_ != nullptr) tel_flight_events_->add(1);
-  };
-  const auto span_event = [&](std::uint32_t stage) {
-    observe::FlightEvent ev;
-    ev.kind = observe::FlightEventKind::kSpan;
-    ev.actor = stage;
-    ev.a = now;
-    fev(ev);
-  };
-
-  // One trace per epoch: the root span's trace id is the epoch index, and
-  // the simulated end time rides along so traces line up across runs even
-  // though wall-clock durations differ.
-  telemetry::Telemetry* tel = cfg_.telemetry;
-  const bool profiling = tel != nullptr && cfg_.observe.profile;
-  telemetry::Span epoch_span =
-      tel != nullptr ? tel->tracer.span("epoch", {}, epoch)
-                     : telemetry::Span{};
-  epoch_span.set_sim_time(now);
-  epoch_span.attr("packets", static_cast<double>(result.packets));
-  const telemetry::SpanContext epoch_ctx = epoch_span.context();
+  rec.root.attr("packets", static_cast<double>(result.packets));
   if (store_) {
-    // Store appends/commits below emit store_append/store_commit/
-    // index_finalize spans under this epoch's trace when profiling; the
-    // default context keeps the store span-free.
-    store_->set_trace_context(profiling ? epoch_ctx
-                                        : telemetry::SpanContext{});
+    // Store appends/commits emit store_append/store_commit/index_finalize
+    // spans under this epoch's trace when profiling; the default context
+    // keeps the store span-free.
+    store_->set_trace_context(rec.profiling ? rec.root.context()
+                                            : telemetry::SpanContext{});
   }
-  if (tel != nullptr) {
+  {
     // The observe phase happened during ingest(); record it as a
-    // zero-duration span carrying the epoch's packet count.
-    telemetry::Span observe = tel->tracer.span("observe", epoch_ctx);
-    observe.attr("packets", static_cast<double>(result.packets));
+    // zero-duration stage carrying the epoch's packet count.
+    EpochRecorder::Stage observe = rec.stage(kObserve);
+    observe.span.attr("packets", static_cast<double>(result.packets));
   }
-  span_event(0);  // observe
 
   // Crash windows: a monitor that is down this epoch loses its buffered
   // packets (a process restart) and ships nothing.
   for (std::size_t i = 0; i < monitors_.size(); ++i) {
-    if (!transport_.monitor_up(i, epoch)) {
+    if (!transport_.monitor_up(i, rec.epoch)) {
       monitors_[i].discard_epoch();
       ++result.monitors_crashed;
     } else {
       // Pin this epoch's summarization RNG stream to (seed, epoch): the
       // summary then depends only on the epoch's batch, not on how many
       // epochs ran before — the restart-determinism contract of the store.
-      monitors_[i].begin_epoch(epoch);
+      monitors_[i].begin_epoch(rec.epoch);
     }
   }
   transport_.note_crashed(result.monitors_crashed);
 
   const double deadline =
-      now + (cfg_.aggregation.deadline_s > 0.0 ? cfg_.aggregation.deadline_s
-                                               : cfg_.epoch_seconds);
-  transport_.begin_epoch(epoch, now, deadline);
-  tier_.begin_epoch(epoch);
+      rec.now + (cfg_.aggregation.deadline_s > 0.0 ? cfg_.aggregation.deadline_s
+                                                   : cfg_.epoch_seconds);
+  transport_.begin_epoch(rec.epoch, rec.now, deadline);
+  tier_.begin_epoch(rec.epoch);
+  return result;
+}
 
-  telemetry::Span summarize_span =
-      tel != nullptr ? tel->tracer.span("summarize", epoch_ctx)
-                     : telemetry::Span{};
-  const telemetry::SpanContext summarize_ctx = summarize_span.context();
+/// The summarize stage: flush the monitors, feed their fidelity to the
+/// health ledger, and deliver each summary through the fault transport into
+/// the tier.  Returns the summary bytes that crossed the links.
+std::uint64_t JaalController::summarize(EpochResult& result,
+                                        EpochRecorder& rec) {
+  EpochRecorder::Stage stage = rec.stage(kSummarize);
+  Slots slots = flush_monitors(rec.epoch, stage.span.context());
+  observe_fidelity(slots, result, rec);
+  const std::uint64_t ship_bytes = deliver(slots, result, rec);
+  stage.span.attr("monitors_reporting",
+                  static_cast<double>(result.monitors_reporting));
+  return ship_bytes;
+}
 
-  // Summarize phase: flush every live monitor into a slot table, in
-  // parallel when a pool is attached (summarization of N monitors is
-  // embarrassingly parallel — each Monitor owns its buffer and its seeded
-  // RNG), results streaming through a bounded channel whose capacity
-  // throttles producers to what the reduction side consumes.  The slot
-  // table is reduced in monitor order below, so everything downstream is
-  // bit-identical to the serial loop.
-  std::vector<std::optional<summarize::MonitorSummary>> slots(
-      monitors_.size());
+/// Flushes every live monitor into its slot, on the pool when there is one
+/// (each Monitor owns its buffer and its seeded RNG, so the flushes are
+/// independent).  Slots are read in monitor order afterwards, so everything
+/// downstream is bit-identical to the serial loop.
+JaalController::Slots JaalController::flush_monitors(
+    std::uint64_t epoch, const telemetry::SpanContext& parent) {
+  Slots slots(monitors_.size());
+  const auto flush = [&](std::size_t i) {
+    if (transport_.monitor_up(i, epoch)) {
+      slots[i] = monitors_[i].flush_epoch(parent);
+    }
+  };
   if (pool_) {
-    runtime::StageTimer timer(&pool_->stats(), "flush_epoch");
-    using Flushed =
-        std::pair<std::size_t, std::optional<summarize::MonitorSummary>>;
-    runtime::Channel<Flushed> channel(
-        std::max<std::size_t>(std::size_t{2}, pool_->threads()));
-    std::mutex error_mu;
-    std::exception_ptr error;
-    std::size_t submitted = 0;
-    for (std::size_t i = 0; i < monitors_.size(); ++i) {
-      if (!transport_.monitor_up(i, epoch)) continue;
-      ++submitted;
-      (void)pool_->submit([this, i, summarize_ctx, &channel, &error_mu,
-                           &error] {
-        std::optional<summarize::MonitorSummary> summary;
-        try {
-          summary = monitors_[i].flush_epoch(summarize_ctx);
-        } catch (...) {
-          std::lock_guard lock(error_mu);
-          if (!error) error = std::current_exception();
-        }
-        channel.push({i, std::move(summary)});
-      });
-    }
-    for (std::size_t received = 0; received < submitted; ++received) {
-      auto item = channel.pop();
-      slots[item->first] = std::move(item->second);
-    }
-    channel.close();
-    if (error) std::rethrow_exception(error);
+    pool_->parallel_for(0, monitors_.size(), flush, 1);
   } else {
-    for (std::size_t i = 0; i < monitors_.size(); ++i) {
-      if (!transport_.monitor_up(i, epoch)) continue;
-      slots[i] = monitors_[i].flush_epoch(summarize_ctx);
-    }
+    for (std::size_t i = 0; i < monitors_.size(); ++i) flush(i);
   }
+  return slots;
+}
 
-  // Drift monitoring: feed each flushed monitor's summary fidelity to the
-  // health ledger, serially in monitor order (determinism), *before*
-  // inference so this epoch's caution signal reflects this epoch's
-  // summaries.
+/// Drift monitoring: feeds each flushed monitor's summary fidelity to the
+/// health ledger, serially in monitor order, *before* inference — so this
+/// epoch's caution signal reflects this epoch's summaries.
+void JaalController::observe_fidelity(const Slots& slots, EpochResult& result,
+                                      EpochRecorder& rec) {
   for (std::size_t i = 0; i < monitors_.size(); ++i) {
     if (!slots[i]) continue;
     if (const auto& f = monitors_[i].last_fidelity()) {
       observe::FidelityStats fs = *f;
-      fs.epoch = epoch;
+      fs.epoch = rec.epoch;
       health_.observe_fidelity(fs);
       result.fidelity.push_back(fs);
-      observe::FlightEvent ev;
-      ev.kind = observe::FlightEventKind::kFidelity;
-      ev.actor = fs.monitor;
-      ev.a = fs.svd_energy_retained;
-      ev.b = fs.kmeans_inertia;
-      ev.c = fs.reconstruction_error;
-      ev.u[0] = fs.batch_packets;
-      fev(ev);
+      rec.event({.kind = observe::FlightEventKind::kFidelity,
+                 .actor = fs.monitor,
+                 .a = fs.svd_energy_retained,
+                 .b = fs.kmeans_inertia,
+                 .c = fs.reconstruction_error,
+                 .u = {fs.batch_packets}});
     }
   }
+  result.caution = health_.caution();
+  tier_.set_caution(result.caution);
+}
 
-  // Ship + aggregate phase, serial in monitor order: the transport decides
-  // each summary's fate (its draws depend only on seed/epoch/monitor, so
-  // the outcome is identical across runs and thread counts).  The tier
-  // routes each accepted summary to its owning shard (and persists it);
-  // a refusal means the shard is down this epoch.  Late summaries rolled
-  // forward from earlier epochs aggregate first.
+/// Ship + tier admission, serial in monitor order: the transport decides
+/// each summary's fate (its draws depend only on seed/epoch/monitor), and
+/// the tier routes each delivered summary to its owning shard (and persists
+/// it) or refuses it when that shard is down.  Late summaries rolled
+/// forward from earlier epochs aggregate first.
+std::uint64_t JaalController::deliver(Slots& slots, EpochResult& result,
+                                      EpochRecorder& rec) {
   for (summarize::MonitorSummary& s : carry_) {
     if (tier_.add_summary(s)) {
       ++result.summaries_rolled_in;
@@ -310,15 +353,23 @@ EpochResult JaalController::close_epoch(double now) {
     tel_rolled_forward_->add(result.summaries_rolled_in);
   }
 
+  // kShip outcome codes (flight_recorder.hpp).
+  enum : std::uint64_t { kDropped = 1, kLate = 2, kRolled = 3, kShardDown = 4 };
+  const auto missed = [&](std::size_t monitor, std::uint64_t outcome) {
+    rec.event({.kind = observe::FlightEventKind::kShip,
+               .actor = static_cast<std::uint32_t>(monitor),
+               .u = {outcome}});
+  };
+  const bool roll =
+      cfg_.aggregation.late_policy == faults::LatePolicy::kRollForward;
   std::uint64_t ship_bytes = 0;
   std::size_t produced = 0;
   for (std::size_t i = 0; i < slots.size(); ++i) {
     if (!slots[i]) continue;
     ++produced;
     const std::size_t bytes = summarize::wire_bytes(*slots[i]);
-    const faults::ShipOutcome outcome = transport_.ship(i, bytes);
-    switch (outcome.status) {
-      case faults::ShipStatus::kDelivered: {
+    switch (transport_.ship(i, bytes).status) {
+      case faults::ShipStatus::kDelivered:
         ship_bytes += bytes;  // it crossed the link either way
         if (tier_.add_summary(*slots[i])) {
           ++result.monitors_reporting;
@@ -327,38 +378,21 @@ EpochResult JaalController::close_epoch(double now) {
           // dies at the tier's door, degrading report_fraction like any
           // other loss.
           ++result.summaries_lost_shard;
-          observe::FlightEvent ev;
-          ev.kind = observe::FlightEventKind::kShip;
-          ev.actor = static_cast<std::uint32_t>(i);
-          ev.u[0] = 4;  // shard down
-          fev(ev);
+          missed(i, kShardDown);
         }
         break;
-      }
-      case faults::ShipStatus::kDropped: {
+      case faults::ShipStatus::kDropped:
         ++result.summaries_dropped;
-        observe::FlightEvent ev;
-        ev.kind = observe::FlightEventKind::kShip;
-        ev.actor = static_cast<std::uint32_t>(i);
-        ev.u[0] = 1;  // dropped
-        fev(ev);
+        missed(i, kDropped);
         break;
-      }
-      case faults::ShipStatus::kLate: {
+      case faults::ShipStatus::kLate:
         ++result.summaries_late;
-        const bool roll =
-            cfg_.aggregation.late_policy == faults::LatePolicy::kRollForward;
         if (roll) {
           ship_bytes += bytes;  // it did cross the link, just slowly
           carry_.push_back(std::move(*slots[i]));
         }
-        observe::FlightEvent ev;
-        ev.kind = observe::FlightEventKind::kShip;
-        ev.actor = static_cast<std::uint32_t>(i);
-        ev.u[0] = roll ? 3 : 2;  // rolled forward : late
-        fev(ev);
+        missed(i, roll ? kRolled : kLate);
         break;
-      }
     }
   }
 
@@ -367,271 +401,56 @@ EpochResult JaalController::close_epoch(double now) {
   // count against the epoch (they would plausibly have reported).
   const std::size_t expected = produced + result.monitors_crashed;
   result.report_fraction =
-      expected == 0
-          ? 1.0
-          : static_cast<double>(result.monitors_reporting) /
-                static_cast<double>(expected);
+      expected == 0 ? 1.0
+                    : static_cast<double>(result.monitors_reporting) /
+                          static_cast<double>(expected);
   if (result.degraded() && tel_degraded_epochs_ != nullptr) {
     tel_degraded_epochs_->add(1);
   }
+  return ship_bytes;
+}
 
-  summarize_span.attr("monitors_reporting",
-                      static_cast<double>(result.monitors_reporting));
-  summarize_span.finish();
-  span_event(1);  // summarize
-  if (tel != nullptr) {
-    // The ship leg: summary bytes crossing the monitor->controller links.
-    // Since the fault transport it can fail — dropped/late arrivals are
-    // recorded on the span next to what got through.
-    telemetry::Span ship = tel->tracer.span("ship", epoch_ctx);
-    ship.attr("summary_bytes", static_cast<double>(ship_bytes));
-    ship.attr("monitors_reporting",
-              static_cast<double>(result.monitors_reporting));
-    if (result.summaries_dropped > 0 || result.summaries_late > 0 ||
-        result.monitors_crashed > 0 || result.summaries_lost_shard > 0) {
-      ship.attr("dropped", static_cast<double>(result.summaries_dropped));
-      ship.attr("late", static_cast<double>(result.summaries_late));
-      ship.attr("crashed", static_cast<double>(result.monitors_crashed));
-      if (result.summaries_lost_shard > 0) {
-        ship.attr("shard_lost",
-                  static_cast<double>(result.summaries_lost_shard));
-      }
-      ship.attr("report_fraction", result.report_fraction);
+/// The ship stage: the summary bytes that crossed the monitor->controller
+/// links.  Since the fault transport it can fail — losses ride on the span
+/// next to what got through.
+void JaalController::ship(const EpochResult& result, std::uint64_t ship_bytes,
+                          EpochRecorder& rec) {
+  EpochRecorder::Stage stage = rec.stage(kShip);
+  telemetry::Span& span = stage.span;
+  span.attr("summary_bytes", static_cast<double>(ship_bytes));
+  span.attr("monitors_reporting",
+            static_cast<double>(result.monitors_reporting));
+  if (result.summaries_dropped > 0 || result.summaries_late > 0 ||
+      result.monitors_crashed > 0 || result.summaries_lost_shard > 0) {
+    span.attr("dropped", static_cast<double>(result.summaries_dropped));
+    span.attr("late", static_cast<double>(result.summaries_late));
+    span.attr("crashed", static_cast<double>(result.monitors_crashed));
+    if (result.summaries_lost_shard > 0) {
+      span.attr("shard_lost", static_cast<double>(result.summaries_lost_shard));
     }
+    span.attr("report_fraction", result.report_fraction);
   }
-  span_event(2);  // ship
-  // The caution signal the engine surfaces on this epoch's alerts, and the
-  // close-out that folds the epoch into the health ledger on every exit
-  // path (the drift events it returns belong to this epoch).
-  result.caution = health_.caution();
-  tier_.set_caution(result.caution);
-  const auto close_health = [&] {
-    observe::HealthTracker::EpochDegradation deg;
-    deg.report_fraction = result.report_fraction;
-    deg.monitors_crashed = result.monitors_crashed;
-    deg.summaries_dropped = result.summaries_dropped;
-    deg.summaries_late = result.summaries_late;
-    deg.summaries_rolled_in = result.summaries_rolled_in;
-    deg.packets_lost = result.packets_lost;
-    deg.feedback_fallbacks =
-        tier_.engine().stats().feedback_fallbacks - fallbacks_before;
-    deg.alerts = result.alerts.size();
-    result.drift_events = health_.end_epoch(epoch, deg);
-    if (tel_drift_events_ != nullptr) {
-      if (!result.drift_events.empty()) {
-        tel_drift_events_->add(result.drift_events.size());
-      }
-      tel_monitors_drifting_->set(
-          static_cast<std::int64_t>(health_.monitors_drifting()));
-      tel_caution_permille_->set(
-          static_cast<std::int64_t>(result.caution * 1000.0 + 0.5));
-    }
-    // Drift transitions, then the feedback and close events — the order the
-    // offline replay (store/doctor) relies on: fidelity before close.
-    for (const observe::HealthEvent& e : result.drift_events) {
-      observe::FlightEvent ev;
-      ev.kind = e.kind == observe::HealthEventKind::kDriftStart
-                    ? observe::FlightEventKind::kDriftStart
-                    : observe::FlightEventKind::kDriftEnd;
-      ev.actor = e.monitor;
-      ev.a = e.value;
-      ev.b = e.baseline;
-      ev.c = e.z;
-      ev.u[0] = observe::drift_metric_id(e.metric);
-      fev(ev);
-    }
-    if (deg.feedback_fallbacks > 0) {
-      observe::FlightEvent ev;
-      ev.kind = observe::FlightEventKind::kFeedback;
-      ev.u[0] = deg.feedback_fallbacks;
-      fev(ev);
-    }
-    {
-      observe::FlightEvent ev;
-      ev.kind = observe::FlightEventKind::kEpochClose;
-      ev.actor = static_cast<std::uint32_t>(deg.alerts);
-      ev.a = result.report_fraction;
-      ev.b = result.caution;
-      ev.c = static_cast<double>(cfg_.monitor_count);
-      ev.u[0] = deg.monitors_crashed;
-      ev.u[1] = deg.summaries_dropped;
-      ev.u[2] = deg.summaries_late;
-      ev.u[3] = deg.summaries_rolled_in;
-      ev.u[4] = deg.packets_lost;
-      ev.u[5] = deg.feedback_fallbacks;
-      fev(ev);
-    }
-    if (slo_) {
-      const double latency_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - wall_start)
-              .count();
-      slo_->observe_epoch(epoch, result.report_fraction, latency_ms);
-      if (tel_slo_epochs_ != nullptr) {
-        tel_slo_epochs_->add(1);
-        tel_slo_rf_breaches_->add(slo_->rf_breaches() -
-                                  slo_prev_rf_breaches_);
-        tel_slo_lat_breaches_->add(slo_->latency_breaches() -
-                                   slo_prev_lat_breaches_);
-        slo_prev_rf_breaches_ = slo_->rf_breaches();
-        slo_prev_lat_breaches_ = slo_->latency_breaches();
-        tel_slo_burn_->set(slo_->rf_burn_rate_permille());
-        tel_slo_rf_budget_->set(slo_->rf_budget_remaining_permille());
-        tel_slo_lat_budget_->set(slo_->latency_budget_remaining_permille());
-      }
-    }
-    if (flight_) {
-      // Regression trigger: the health report's worst finding got worse
-      // than anything seen before — capture the ring before later epochs
-      // overwrite the lead-up.
-      const auto findings = health_.report().ranked_findings();
-      const double severity =
-          findings.empty() ? 0.0 : findings.front().severity;
-      if (severity > last_top_severity_) {
-        last_top_severity_ = severity;
-        last_flight_dump_ = flight_->dump_jsonl();
-        if (tel_flight_dumps_ != nullptr) tel_flight_dumps_->add(1);
-      }
-      if (tel_flight_dropped_ != nullptr) {
-        tel_flight_dropped_->add(flight_->dropped() - flight_dropped_prev_);
-        flight_dropped_prev_ = flight_->dropped();
-      }
-    }
-  };
+}
 
-  // Store commit: alerts and provenance land first, then the EpochMeta
-  // record in the summaries log marks the epoch durable — a crash between
-  // any of these appends leaves an uncommitted epoch that recovery
-  // truncates wholesale on the next open.
-  const auto commit_store = [&] {
-    if (!store_) return;
-    for (const inference::Alert& a : result.alerts) {
-      store_->put_alert(epoch, a, result.end_time);
-      if (a.provenance) {
-        store_->put_provenance(epoch, a.sid, *a.provenance);
-      }
-    }
-    if (persist_ops) {
-      // Ops stream: the flight events raised closing this epoch and the
-      // registry's delta since the previous commit, both riding under this
-      // epoch's EpochMeta (an uncommitted epoch rolls them back).
-      if (!fr_events.empty()) store_->put_events(epoch, fr_events);
-      if (cfg_.telemetry != nullptr) {
-        telemetry::MetricsSnapshot cur = cfg_.telemetry->metrics.snapshot();
-        store_->put_metrics(epoch, cur.diff(prev_metrics_));
-        prev_metrics_ = std::move(cur);
-      }
-    }
-    store::EpochMeta meta{epoch, result.end_time, result.packets,
-                          result.report_fraction, result.caution};
-    meta.shard_count = tier_.shard_count();
-    store_->commit_epoch(meta);
-  };
-
-  // Shared close-out for every exit path: the critical-path profile
-  // brackets close_health/commit_store so the deterministic digest lands in
-  // this epoch's ops stream while the wall-clock profile still covers the
-  // store commit itself.
-  const auto close_out = [&] {
-    if (!profiling) {
-      close_health();
-      commit_store();
-      result.shards = tier_.shard_stats();
-      return;
-    }
-    // Deterministic digest first, before anything is persisted: drain the
-    // spans recorded so far and rebuild the tree.  The epoch root is still
-    // open (it must cover the store commit), so synthesize its record —
-    // deterministic mode only needs the tree shape, never durations.
-    std::vector<telemetry::SpanRecord> spans = tel->tracer.drain();
-    {
-      telemetry::SpanRecord root;
-      root.name = "epoch";
-      root.key = epoch;
-      root.trace_id = epoch;
-      root.span_id = epoch_ctx.span_id;
-      root.parent_id = 0;
-      root.sim_time = now;
-      spans.push_back(root);
-    }
-    telemetry::CriticalPathOptions det_opts;
-    det_opts.mode = telemetry::DurationMode::kDeterministic;
-    const telemetry::CriticalPath det =
-        telemetry::CriticalPath::build(spans, epoch, det_opts);
-    {
-      observe::FlightEvent ev;
-      ev.kind = observe::FlightEventKind::kProfile;
-      ev.actor = telemetry::profile_stage_id(det.dominant_stage);
-      ev.a = det.root_inclusive_ms;
-      ev.b = static_cast<double>(det.path.size());
-      ev.u[0] = det.span_count;
-      ev.u[1] = det.sibling_groups;
-      fev(ev);
-    }
-    close_health();
-    commit_store();
-    // Close the root and take the wall-clock profile over the complete
-    // epoch — including the store spans the commit just recorded.
-    epoch_span.finish();
-    spans.pop_back();  // synthesized root; the finished one follows
-    {
-      std::vector<telemetry::SpanRecord> rest = tel->tracer.drain();
-      spans.insert(spans.end(), rest.begin(), rest.end());
-    }
-    telemetry::CriticalPath wall =
-        telemetry::CriticalPath::build(spans, epoch, {});
-    if (tel_profile_epochs_ != nullptr) {
-      tel_profile_epochs_->add(1);
-      tel_profile_path_ms_->observe(wall.root_inclusive_ms);
-      if (!wall.stragglers.empty()) {
-        tel_profile_stragglers_->add(wall.stragglers.size());
-      }
-      for (const telemetry::StageTime& st : wall.stages) {
-        telemetry::Histogram* h = nullptr;
-        for (auto& [name, handle] : tel_profile_stage_) {
-          if (name == st.name) {
-            h = handle;
-            break;
-          }
-        }
-        if (h == nullptr) {
-          h = &tel->metrics.histogram("jaal_profile_stage_exclusive_ms{stage=\"" +
-                                      st.name + "\"}");
-          tel_profile_stage_.emplace_back(st.name, h);
-        }
-        // Exclusive self-time can go negative when siblings overlap on the
-        // pool (parallelism credit); the histogram records the spent side.
-        h->observe(std::max(0.0, st.exclusive_ms));
-      }
-    }
-    if (slo_) slo_->attribute_latency(wall.dominant_stage);
-    result.profile = std::move(wall);
-    result.shards = tier_.shard_stats();
-  };
-
-  if (tier_.pending() == 0) {
-    close_out();
-    return result;
-  }
-
-  telemetry::Span aggregate_span =
-      tel != nullptr ? tel->tracer.span("aggregate", epoch_ctx)
-                     : telemetry::Span{};
-  // The tier builds the aggregate hierarchy: per-shard aggregates, then the
-  // cross-shard merge (at one shard, exactly the old flat Aggregator) —
-  // with per-shard shard_aggregate spans under this stage's span when the
-  // tier is genuinely sharded.
+/// The aggregate stage: the tier builds the aggregate hierarchy — per-shard
+/// aggregates, then the cross-shard merge (at one shard, exactly the flat
+/// Aggregator), with per-shard spans under this stage when sharded.
+void JaalController::aggregate(EpochRecorder& rec) {
+  EpochRecorder::Stage stage = rec.stage(kAggregate);
   const inference::AggregatedSummary& aggregate =
-      tier_.aggregate_epoch(aggregate_span.context());
-  aggregate_span.attr("rows", static_cast<double>(aggregate.origin.size()));
-  aggregate_span.finish();
-  span_event(3);  // aggregate
+      tier_.aggregate_epoch(stage.span.context());
+  stage.span.attr("rows", static_cast<double>(aggregate.origin.size()));
+}
 
+/// The infer stage (match, decide, feedback), then the postprocess leg's
+/// distributed/feedback classification tallies.
+void JaalController::infer(EpochResult& result, EpochRecorder& rec) {
   const inference::RawPacketFetcher fetch =
       [this](summarize::MonitorId id,
              const std::vector<std::size_t>& centroids) -> inference::RawFetch {
-    faults::FetchResult fetched = transport_.fetch(
-        id, [&](std::size_t) { return monitors_.at(id).raw_packets_for(centroids); });
+    faults::FetchResult fetched = transport_.fetch(id, [&](std::size_t) {
+      return monitors_.at(id).raw_packets_for(centroids);
+    });
     // Carry the retry accounting along so alert provenance can show what
     // the feedback round-trip actually cost.
     return {std::move(fetched.packets), fetched.attempts, fetched.backoff_s};
@@ -645,29 +464,194 @@ EpochResult JaalController::close_epoch(double now) {
                         static_cast<double>(result.packets) / 2000.0);
   tier_.set_report_fraction(result.report_fraction);
   {
-    telemetry::Span infer_span =
-        tel != nullptr ? tel->tracer.span("infer", epoch_ctx)
-                       : telemetry::Span{};
-    runtime::StageTimer timer(pool_ ? &pool_->stats() : nullptr, "infer");
-    result.alerts = tier_.infer_epoch(fetch, infer_span.context());
-    infer_span.attr("alerts", static_cast<double>(result.alerts.size()));
+    EpochRecorder::Stage stage = rec.stage(kInfer);
+    result.alerts = tier_.infer_epoch(fetch, stage.span.context());
+    stage.span.attr("alerts", static_cast<double>(result.alerts.size()));
   }
-  span_event(4);  // infer
-  if (tel != nullptr) {
-    // The postprocess leg: distributed/feedback classification tallies.
-    std::size_t distributed = 0, via_feedback = 0;
-    for (const inference::Alert& a : result.alerts) {
-      distributed += a.distributed ? 1 : 0;
-      via_feedback += a.via_feedback ? 1 : 0;
+  std::size_t distributed = 0, via_feedback = 0;
+  for (const inference::Alert& a : result.alerts) {
+    distributed += a.distributed ? 1 : 0;
+    via_feedback += a.via_feedback ? 1 : 0;
+  }
+  EpochRecorder::Stage post = rec.stage(kPostprocess);
+  post.span.attr("alerts", static_cast<double>(result.alerts.size()));
+  post.span.attr("distributed", static_cast<double>(distributed));
+  post.span.attr("via_feedback", static_cast<double>(via_feedback));
+}
+
+/// Close-out, on every epoch: health, SLO and flight dump, then the store
+/// commit.  The critical-path profile brackets them, so its deterministic
+/// digest lands in this epoch's ops stream while the wall-clock profile
+/// still covers the store commit itself.
+void JaalController::close_out(EpochResult& result, EpochRecorder& rec) {
+  std::vector<telemetry::SpanRecord> spans;
+  if (rec.profiling) spans = profile_digest(rec);
+  close_health(result, rec);
+  observe_slo_and_dump(result, rec);
+  commit_store(result, rec);
+  if (rec.profiling) result.profile = profile_wall(rec, std::move(spans));
+  result.shards = tier_.shard_stats();
+}
+
+/// Folds the epoch into the health ledger and raises its drift, feedback
+/// and close events — the order the offline replay (store/doctor) relies
+/// on: fidelity before close.
+void JaalController::close_health(EpochResult& result, EpochRecorder& rec) {
+  observe::HealthTracker::EpochDegradation deg;
+  deg.report_fraction = result.report_fraction;
+  deg.monitors_crashed = result.monitors_crashed;
+  deg.summaries_dropped = result.summaries_dropped;
+  deg.summaries_late = result.summaries_late;
+  deg.summaries_rolled_in = result.summaries_rolled_in;
+  deg.packets_lost = result.packets_lost;
+  deg.feedback_fallbacks =
+      tier_.engine().stats().feedback_fallbacks - rec.fallbacks_at_open;
+  deg.alerts = result.alerts.size();
+  result.drift_events = health_.end_epoch(rec.epoch, deg);
+  if (tel_drift_events_ != nullptr) {
+    if (!result.drift_events.empty()) {
+      tel_drift_events_->add(result.drift_events.size());
     }
-    telemetry::Span post = tel->tracer.span("postprocess", epoch_ctx);
-    post.attr("alerts", static_cast<double>(result.alerts.size()));
-    post.attr("distributed", static_cast<double>(distributed));
-    post.attr("via_feedback", static_cast<double>(via_feedback));
+    tel_monitors_drifting_->set(
+        static_cast<std::int64_t>(health_.monitors_drifting()));
+    tel_caution_permille_->set(
+        static_cast<std::int64_t>(result.caution * 1000.0 + 0.5));
   }
-  span_event(5);  // postprocess
-  close_out();
-  return result;
+  for (const observe::HealthEvent& e : result.drift_events) {
+    rec.event({.kind = e.kind == observe::HealthEventKind::kDriftStart
+                           ? observe::FlightEventKind::kDriftStart
+                           : observe::FlightEventKind::kDriftEnd,
+               .actor = e.monitor,
+               .a = e.value,
+               .b = e.baseline,
+               .c = e.z,
+               .u = {observe::drift_metric_id(e.metric)}});
+  }
+  if (deg.feedback_fallbacks > 0) {
+    rec.event({.kind = observe::FlightEventKind::kFeedback,
+               .u = {deg.feedback_fallbacks}});
+  }
+  rec.event({.kind = observe::FlightEventKind::kEpochClose,
+             .actor = static_cast<std::uint32_t>(deg.alerts),
+             .a = result.report_fraction,
+             .b = result.caution,
+             .c = static_cast<double>(cfg_.monitor_count),
+             .u = {deg.monitors_crashed, deg.summaries_dropped,
+                   deg.summaries_late, deg.summaries_rolled_in,
+                   deg.packets_lost, deg.feedback_fallbacks}});
+}
+
+/// Feeds the SLO budgets, and takes an automatic flight dump when the
+/// health report's worst finding got worse than anything seen before —
+/// capturing the ring before later epochs overwrite the lead-up.
+void JaalController::observe_slo_and_dump(const EpochResult& result,
+                                          EpochRecorder& rec) {
+  if (slo_) {
+    const double latency_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - rec.wall_start)
+            .count();
+    slo_->observe_epoch(rec.epoch, result.report_fraction, latency_ms);
+  }
+  if (!flight_) return;
+  const auto findings = health_.report().ranked_findings();
+  const double severity = findings.empty() ? 0.0 : findings.front().severity;
+  if (severity > last_top_severity_) {
+    last_top_severity_ = severity;
+    last_flight_dump_ = flight_->dump_jsonl();
+    if (tel_flight_dumps_ != nullptr) tel_flight_dumps_->add(1);
+  }
+}
+
+/// Store commit: alerts and provenance land first, then the ops stream,
+/// then the EpochMeta record in the summaries log marks the epoch durable —
+/// a crash between any of these appends leaves an uncommitted epoch that
+/// recovery truncates wholesale on the next open.
+void JaalController::commit_store(const EpochResult& result,
+                                  EpochRecorder& rec) {
+  if (!store_) return;
+  for (const inference::Alert& a : result.alerts) {
+    store_->put_alert(rec.epoch, a, result.end_time);
+    if (a.provenance) store_->put_provenance(rec.epoch, a.sid, *a.provenance);
+  }
+  if (rec.persist_ops) {
+    // Ops stream: the epoch's flight events and the registry's delta since
+    // the previous commit (an uncommitted epoch rolls both back).
+    if (!rec.persisted.empty()) store_->put_events(rec.epoch, rec.persisted);
+    if (rec.tel != nullptr) {
+      telemetry::MetricsSnapshot cur = rec.tel->metrics.snapshot();
+      store_->put_metrics(rec.epoch, cur.diff(prev_metrics_));
+      prev_metrics_ = std::move(cur);
+    }
+  }
+  store::EpochMeta meta{rec.epoch, result.end_time, result.packets,
+                        result.report_fraction, result.caution};
+  meta.shard_count = tier_.shard_count();
+  store_->commit_epoch(meta);
+}
+
+/// Deterministic critical-path digest, taken before anything is persisted:
+/// drains the spans recorded so far and raises the kProfile event.  The
+/// root is still open (it must cover the store commit), so its record is
+/// synthesized — deterministic mode needs only the tree shape.  Returns the
+/// drained spans, synthesized root last.
+std::vector<telemetry::SpanRecord> JaalController::profile_digest(
+    EpochRecorder& rec) {
+  std::vector<telemetry::SpanRecord> spans = rec.tel->tracer.drain();
+  telemetry::SpanRecord root;
+  root.name = "epoch";
+  root.key = rec.epoch;
+  root.trace_id = rec.epoch;
+  root.span_id = rec.root.context().span_id;
+  root.sim_time = rec.now;
+  spans.push_back(root);
+  telemetry::CriticalPathOptions det_opts;
+  det_opts.mode = telemetry::DurationMode::kDeterministic;
+  const telemetry::CriticalPath det =
+      telemetry::CriticalPath::build(spans, rec.epoch, det_opts);
+  rec.event({.kind = observe::FlightEventKind::kProfile,
+             .actor = telemetry::profile_stage_id(det.dominant_stage),
+             .a = det.root_inclusive_ms,
+             .b = static_cast<double>(det.path.size()),
+             .u = {det.span_count, det.sibling_groups}});
+  return spans;
+}
+
+/// Closes the root and takes the wall-clock profile over the complete
+/// epoch — including the store spans the commit just recorded — into the
+/// jaal_profile_* family and the SLO's latency attribution.
+telemetry::CriticalPath JaalController::profile_wall(
+    EpochRecorder& rec, std::vector<telemetry::SpanRecord> spans) {
+  rec.root.finish();
+  spans.pop_back();  // the synthesized root; the finished one follows
+  std::vector<telemetry::SpanRecord> rest = rec.tel->tracer.drain();
+  spans.insert(spans.end(), rest.begin(), rest.end());
+  telemetry::CriticalPath wall =
+      telemetry::CriticalPath::build(spans, rec.epoch, {});
+  if (tel_profile_epochs_ != nullptr) {
+    tel_profile_epochs_->add(1);
+    tel_profile_path_ms_->observe(wall.root_inclusive_ms);
+    if (!wall.stragglers.empty()) {
+      tel_profile_stragglers_->add(wall.stragglers.size());
+    }
+    for (const telemetry::StageTime& st : wall.stages) {
+      auto it = std::find_if(tel_profile_stage_.begin(),
+                             tel_profile_stage_.end(),
+                             [&](const auto& e) { return e.first == st.name; });
+      if (it == tel_profile_stage_.end()) {
+        tel_profile_stage_.emplace_back(
+            st.name, &rec.tel->metrics.histogram(
+                         "jaal_profile_stage_exclusive_ms{stage=\"" +
+                         st.name + "\"}"));
+        it = std::prev(tel_profile_stage_.end());
+      }
+      // Exclusive self-time can go negative when siblings overlap on the
+      // pool (parallelism credit); the histogram records the spent side.
+      it->second->observe(std::max(0.0, st.exclusive_ms));
+    }
+  }
+  if (slo_) slo_->attribute_latency(wall.dominant_stage);
+  return wall;
 }
 
 std::vector<EpochResult> JaalController::run(trace::PacketSource& source,

@@ -78,7 +78,7 @@ struct JaalConfig : DeploymentConfig {
   /// merge stages (see inference::AggregationPolicy; previously the
   /// scattered summary_deadline_s / late_policy fields).
   inference::AggregationPolicy aggregation;
-  /// Inference-tier shape: shard count, hash-ring seed, merge policy.  The
+  /// Inference-tier shape: shard count, hash-ring seed, ring points.  The
   /// default single shard is the historical one-engine deployment,
   /// bit-for-bit (see shard::InferenceTier).
   shard::ShardingConfig sharding;
@@ -255,6 +255,38 @@ class JaalController {
   }
 
  private:
+  /// Per-epoch reporting — root span, stage spans/timers and the flight
+  /// event stream (controller.cpp).
+  struct EpochRecorder;
+  /// One flushed summary per monitor (nullopt: crashed or silent).
+  using Slots = std::vector<std::optional<summarize::MonitorSummary>>;
+
+  /// Wires every component into the deployment's telemetry (constructor).
+  void bind_telemetry(telemetry::Telemetry& tel);
+
+  // close_epoch() stages, in order.
+  EpochResult open_epoch(EpochRecorder& rec);
+  std::uint64_t summarize(EpochResult& result, EpochRecorder& rec);
+  void ship(const EpochResult& result, std::uint64_t ship_bytes,
+            EpochRecorder& rec);
+  void aggregate(EpochRecorder& rec);
+  void infer(EpochResult& result, EpochRecorder& rec);
+  void close_out(EpochResult& result, EpochRecorder& rec);
+
+  // Pieces of the stages above.
+  Slots flush_monitors(std::uint64_t epoch,
+                       const telemetry::SpanContext& parent);
+  void observe_fidelity(const Slots& slots, EpochResult& result,
+                        EpochRecorder& rec);
+  std::uint64_t deliver(Slots& slots, EpochResult& result,
+                        EpochRecorder& rec);
+  void close_health(EpochResult& result, EpochRecorder& rec);
+  void observe_slo_and_dump(const EpochResult& result, EpochRecorder& rec);
+  void commit_store(const EpochResult& result, EpochRecorder& rec);
+  std::vector<telemetry::SpanRecord> profile_digest(EpochRecorder& rec);
+  telemetry::CriticalPath profile_wall(EpochRecorder& rec,
+                                       std::vector<telemetry::SpanRecord> spans);
+
   JaalConfig cfg_;
   std::shared_ptr<runtime::ThreadPool> pool_;  ///< Null when threads == 1.
   std::vector<Monitor> monitors_;
@@ -284,9 +316,6 @@ class JaalController {
   std::uint64_t epoch_packets_ = 0;
   std::uint64_t epoch_lost_packets_ = 0;
   std::uint64_t epoch_index_ = 0;  ///< Trace id of the next epoch's trace.
-  std::uint64_t slo_prev_rf_breaches_ = 0;
-  std::uint64_t slo_prev_lat_breaches_ = 0;
-  std::uint64_t flight_dropped_prev_ = 0;
   telemetry::Counter* tel_degraded_epochs_ = nullptr;
   telemetry::Counter* tel_rolled_forward_ = nullptr;
   telemetry::Counter* tel_packets_lost_ = nullptr;
@@ -294,14 +323,7 @@ class JaalController {
   telemetry::Gauge* tel_monitors_drifting_ = nullptr;
   telemetry::Gauge* tel_caution_permille_ = nullptr;
   telemetry::Counter* tel_flight_events_ = nullptr;
-  telemetry::Counter* tel_flight_dropped_ = nullptr;
   telemetry::Counter* tel_flight_dumps_ = nullptr;
-  telemetry::Counter* tel_slo_epochs_ = nullptr;
-  telemetry::Counter* tel_slo_rf_breaches_ = nullptr;
-  telemetry::Counter* tel_slo_lat_breaches_ = nullptr;
-  telemetry::Gauge* tel_slo_burn_ = nullptr;
-  telemetry::Gauge* tel_slo_rf_budget_ = nullptr;
-  telemetry::Gauge* tel_slo_lat_budget_ = nullptr;
   /// jaal_profile_* family (telemetry + ObserveConfig::profile).
   telemetry::Histogram* tel_profile_path_ms_ = nullptr;
   telemetry::Counter* tel_profile_epochs_ = nullptr;

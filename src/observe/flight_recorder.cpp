@@ -74,6 +74,11 @@ void FlightRecorder::record(FlightEvent event) noexcept {
   Slot& s = slots_[seq % capacity_];
   s.ev = event;
   s.stamp.store(seq + 1, std::memory_order_release);
+  if (seq >= capacity_ && tel_dropped_ != nullptr) tel_dropped_->add(1);
+}
+
+void FlightRecorder::bind(telemetry::MetricsRegistry& registry) {
+  tel_dropped_ = &registry.counter(kDroppedMetric);
 }
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {

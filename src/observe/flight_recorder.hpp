@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/metrics.hpp"
+
 namespace jaal::observe {
 
 /// Event vocabulary.  Values are stable — they are persisted verbatim in
@@ -100,6 +102,13 @@ class FlightRecorder {
   /// Appends one event (seq is assigned here, overwriting event.seq).
   void record(FlightEvent event) noexcept;
 
+  /// Counts ring overwrites into `registry` as kDroppedMetric, live from
+  /// record() — the RuntimeStats::bind idiom.  Call at wiring time, before
+  /// anything is recorded.
+  void bind(telemetry::MetricsRegistry& registry);
+  static constexpr const char* kDroppedMetric =
+      "jaal_observe_flight_dropped_total";
+
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Events recorded over the recorder's lifetime.
@@ -137,6 +146,7 @@ class FlightRecorder {
   std::unique_ptr<Slot[]> slots_;
   std::atomic<std::uint64_t> next_{0};
   mutable std::atomic<std::uint64_t> dumps_{0};
+  telemetry::Counter* tel_dropped_ = nullptr;
 };
 
 }  // namespace jaal::observe

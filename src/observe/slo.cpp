@@ -50,6 +50,26 @@ void SloTracker::observe_epoch(std::uint64_t /*epoch*/,
   rf_window_[window_pos_] = rf_bad ? 1 : 0;
   window_bad_ += rf_window_[window_pos_];
   window_pos_ = (window_pos_ + 1) % rf_window_.size();
+
+  if (tel_epochs_ == nullptr) return;
+  tel_epochs_->add(1);
+  if (rf_bad) tel_rf_breaches_->add(1);
+  if (last_latency_breached_) tel_lat_breaches_->add(1);
+  tel_burn_->set(rf_burn_rate_permille());
+  tel_rf_budget_->set(rf_budget_remaining_permille());
+  tel_lat_budget_->set(latency_budget_remaining_permille());
+}
+
+void SloTracker::bind(telemetry::MetricsRegistry& registry) {
+  tel_epochs_ = &registry.counter("jaal_slo_epochs_observed_total");
+  tel_rf_breaches_ =
+      &registry.counter("jaal_slo_report_fraction_breaches_total");
+  tel_lat_breaches_ = &registry.counter("jaal_slo_stage_ms_breaches_total");
+  tel_burn_ = &registry.gauge("jaal_slo_burn_rate_permille");
+  tel_rf_budget_ =
+      &registry.gauge("jaal_slo_report_fraction_budget_remaining_permille");
+  tel_lat_budget_ =
+      &registry.gauge("jaal_slo_stage_ms_budget_remaining_permille");
 }
 
 void SloTracker::attribute_latency(const std::string& dominant_stage) {

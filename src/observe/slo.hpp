@@ -27,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "telemetry/metrics.hpp"
+
 namespace jaal::observe {
 
 /// SLO targets (ObserveConfig::slo_config).
@@ -55,6 +57,11 @@ class SloTracker {
   /// reconstruction, where wall clock was not persisted).
   void observe_epoch(std::uint64_t epoch, double report_fraction,
                      double latency_ms);
+
+  /// Mirrors the tracker into `registry` as the jaal_slo_* series (epochs
+  /// observed, breaches, budgets remaining, burn rate), updated by every
+  /// observe_epoch — the RuntimeStats::bind idiom.  Call at wiring time.
+  void bind(telemetry::MetricsRegistry& registry);
 
   /// Attributes the epoch most recently folded by observe_epoch to the
   /// stage that dominated its critical path (telemetry::CriticalPath).
@@ -113,6 +120,13 @@ class SloTracker {
   std::string last_dominant_stage_;
   /// Unordered (stage, breach count); breaches_by_stage() sorts.
   std::vector<std::pair<std::string, std::uint64_t>> stage_breaches_;
+  /// jaal_slo_* handles (bind); null when unbound.
+  telemetry::Counter* tel_epochs_ = nullptr;
+  telemetry::Counter* tel_rf_breaches_ = nullptr;
+  telemetry::Counter* tel_lat_breaches_ = nullptr;
+  telemetry::Gauge* tel_burn_ = nullptr;
+  telemetry::Gauge* tel_rf_budget_ = nullptr;
+  telemetry::Gauge* tel_lat_budget_ = nullptr;
 };
 
 }  // namespace jaal::observe

@@ -1,11 +1,11 @@
 // Fixed-size thread pool — the shared execution runtime.
 //
 // One pool per deployment; every parallel stage (monitor epoch flush,
-// k-means assignment, question matching) borrows its workers instead of
-// spawning threads of its own.  Two usage shapes:
+// per-shard aggregate and match, k-means assignment, question matching)
+// borrows its workers instead of spawning threads of its own.  Two usage
+// shapes:
 //
-//  * submit(fn) -> std::future<R>: one-shot tasks (the monitor→engine
-//    pipeline submits one flush task per monitor).
+//  * submit(fn) -> std::future<R>: one-shot tasks.
 //  * parallel_for(begin, end, body): data-parallel loops.  The index range
 //    is cut into fixed chunks *independently of the thread count*, helper
 //    tasks are pushed onto the shared queue, and the *calling thread

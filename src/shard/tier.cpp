@@ -1,13 +1,10 @@
 #include "shard/tier.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "runtime/channel.hpp"
 #include "telemetry/export.hpp"
 
 namespace jaal::shard {
@@ -41,11 +38,10 @@ InferenceTier::InferenceTier(const ShardingConfig& sharding,
           "InferenceTier: shard crash window names a shard >= shards");
     }
   }
-  // Per-shard matching engines, exact merge only: they run Algorithm 1 over
-  // their shard's aggregate; the root engine owns the decision phase.  A
-  // reduced tier matches at the root over the concatenated reduction, and a
-  // single-shard tier is just the root engine.
-  if (sharding_.shards > 1 && sharding_.merge == MergePolicy::kExact) {
+  // Per-shard matching engines: they run Algorithm 1 over their shard's
+  // aggregate; the root engine owns the decision phase.  A single-shard tier
+  // is just the root engine.
+  if (sharding_.shards > 1) {
     for (std::size_t s = 0; s < sharding_.shards; ++s) {
       shards_[s].engine = std::make_unique<inference::InferenceEngine>(
           rules, engine, aggregation);
@@ -171,67 +167,31 @@ inference::AggregatedSummary InferenceTier::build_shard_aggregate(
 const inference::AggregatedSummary& InferenceTier::aggregate_epoch(
     const telemetry::SpanContext& parent) {
   aggregated_ = true;
-  const bool exact = sharding_.merge == MergePolicy::kExact;
-  // Tier-shape spans exist only for a genuinely sharded tier, so the
-  // shards == 1 span set (and the deterministic exports, which elide them
-  // either way) is unchanged.
-  const bool trace = tel_ != nullptr && shards_.size() > 1;
-
-  if (shards_.size() == 1 && exact) {
+  if (shards_.size() == 1) {
     // Degenerate tier: the shard aggregate IS the global aggregate —
     // byte-identical to the single-engine Aggregator (arrival order).
     global_ = build_shard_aggregate(shards_[0]);
     return global_;
   }
+  // Tier-shape spans exist only for a genuinely sharded tier, so the
+  // shards == 1 span set (and the deterministic exports, which elide them
+  // either way) is unchanged.
+  const bool trace = tel_ != nullptr;
 
-  // Level 1: per-shard aggregates, concurrently on the channel runtime
-  // when a pool is attached.  Each task touches only its own shard's
-  // buffers; results reduce serially below, so the hierarchy is
+  // Level 1: per-shard aggregates, on the pool when one is attached.  Each
+  // index touches only its own shard's buffers, so the hierarchy is
   // bit-identical to the serial build.
   const auto build_one = [&](std::size_t s) {
     telemetry::Span span = trace
                                ? tel_->tracer.span("shard_aggregate", parent, s)
                                : telemetry::Span{};
-    inference::AggregatedSummary agg = build_shard_aggregate(shards_[s]);
-    if (!exact && !agg.empty()) {
-      // Hierarchical reduction (the bench_ext_hierarchy extension): bound
-      // this shard's contribution to reduce_rows re-clustered rows.  The
-      // seed is a pure function of (hash_seed, shard, epoch).
-      agg = inference::reduce_aggregate(
-          agg, sharding_.reduce_rows,
-          mix64(sharding_.hash_seed ^ (std::uint64_t{s} << 40) ^ epoch_));
-    }
-    span.attr("rows", static_cast<double>(agg.rows()));
-    return agg;
+    shards_[s].agg = build_shard_aggregate(shards_[s]);
+    span.attr("rows", static_cast<double>(shards_[s].agg.rows()));
   };
-  if (pool_ && shards_.size() > 1) {
-    using Built = std::pair<std::size_t, inference::AggregatedSummary>;
-    runtime::Channel<Built> channel(
-        std::max<std::size_t>(std::size_t{2}, pool_->threads()));
-    std::mutex error_mu;
-    std::exception_ptr error;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      (void)pool_->submit([&, s] {
-        inference::AggregatedSummary agg;
-        try {
-          agg = build_one(s);
-        } catch (...) {
-          std::lock_guard lock(error_mu);
-          if (!error) error = std::current_exception();
-        }
-        channel.push({s, std::move(agg)});
-      });
-    }
-    for (std::size_t received = 0; received < shards_.size(); ++received) {
-      auto item = channel.pop();
-      shards_[item->first].agg = std::move(item->second);
-    }
-    channel.close();
-    if (error) std::rethrow_exception(error);
+  if (pool_) {
+    pool_->parallel_for(0, shards_.size(), build_one, 1);
   } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s].agg = build_one(s);
-    }
+    for (std::size_t s = 0; s < shards_.size(); ++s) build_one(s);
   }
 
   // Level 2: the cross-shard merge.
@@ -250,27 +210,10 @@ const inference::AggregatedSummary& InferenceTier::aggregate_epoch(
   global_.origin.reserve(total_rows);
   global_.local_index.reserve(total_rows);
 
-  if (!exact) {
-    // Reduced merge: concatenate the reductions in shard order.  Rows no
-    // longer map to a monitor (origin == kNoOrigin); local_index becomes
-    // the global row so rows stay uniquely addressable in provenance.
-    std::size_t row = 0;
-    for (Shard& sh : shards_) {
-      for (std::size_t i = 0; i < sh.agg.rows(); ++i, ++row) {
-        const auto src = sh.agg.centroids.row(i);
-        std::copy(src.begin(), src.end(), global_.centroids.row(row).begin());
-        global_.counts.push_back(sh.agg.counts[i]);
-        global_.origin.push_back(inference::kNoOrigin);
-        global_.local_index.push_back(row);
-      }
-    }
-    return global_;
-  }
-
-  // Exact merge: interleave shard row blocks back into arrival (sequence)
-  // order, rebuilding byte-for-byte the one tall aggregate the single
-  // engine would have produced, and record each shard's local-row ->
-  // global-row map for the match merge.
+  // Interleave shard row blocks back into arrival (sequence) order,
+  // rebuilding byte-for-byte the one tall aggregate the single engine would
+  // have produced, and record each shard's local-row -> global-row map for
+  // the match merge.
   struct Ref {
     std::uint64_t seq;
     std::uint32_t shard;
@@ -316,52 +259,22 @@ std::vector<inference::Alert> InferenceTier::infer_epoch(
     const telemetry::SpanContext& parent) {
   if (!aggregated_) (void)aggregate_epoch(parent);
   if (global_.empty()) return {};
-  const bool exact = sharding_.merge == MergePolicy::kExact;
-  const bool trace = tel_ != nullptr && shards_.size() > 1;
+  if (shards_.size() == 1) return root_.infer(global_, fetch, parent);
+  const bool trace = tel_ != nullptr;  // tier-shape spans, as above
 
-  if (shards_.size() == 1 || !exact) {
-    // Single engine over the merged aggregate.  A reduced aggregate has no
-    // row -> monitor mapping, so the feedback loop is off (null fetch): the
-    // scale tier where raw retrieval would be impractical anyway.
-    return root_.infer(global_, exact ? fetch : nullptr, parent);
-  }
-
-  // Per-shard matching, concurrently on the channel runtime.  Each shard
+  // Per-shard matching, on the pool when one is attached.  Each shard
   // engine runs Algorithm 1 over its shard aggregate only.
   std::vector<std::vector<inference::QuestionMatch>> parts(shards_.size());
   const auto match_one = [&](std::size_t s) {
     telemetry::Span span = trace ? tel_->tracer.span("shard_match", parent, s)
                                  : telemetry::Span{};
-    return shards_[s].agg.empty() ? std::vector<inference::QuestionMatch>{}
-                                  : shards_[s].engine->match(shards_[s].agg);
+    const Shard& sh = shards_[s];
+    if (!sh.agg.empty()) parts[s] = sh.engine->match(sh.agg);
   };
   if (pool_) {
-    using Matched =
-        std::pair<std::size_t, std::vector<inference::QuestionMatch>>;
-    runtime::Channel<Matched> channel(
-        std::max<std::size_t>(std::size_t{2}, pool_->threads()));
-    std::mutex error_mu;
-    std::exception_ptr error;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      (void)pool_->submit([&, s] {
-        std::vector<inference::QuestionMatch> matched;
-        try {
-          matched = match_one(s);
-        } catch (...) {
-          std::lock_guard lock(error_mu);
-          if (!error) error = std::current_exception();
-        }
-        channel.push({s, std::move(matched)});
-      });
-    }
-    for (std::size_t received = 0; received < shards_.size(); ++received) {
-      auto item = channel.pop();
-      parts[item->first] = std::move(item->second);
-    }
-    channel.close();
-    if (error) std::rethrow_exception(error);
+    pool_->parallel_for(0, shards_.size(), match_one, 1);
   } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) parts[s] = match_one(s);
+    for (std::size_t s = 0; s < shards_.size(); ++s) match_one(s);
   }
 
   // Exact cross-shard match merge: matched rows are per-row facts and the
