@@ -197,18 +197,29 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Topology invariants across profiles and seeds -------------------------
 
+// A case prints as its `ctest_name`, and gtest_discover_tests uses that
+// printed form as the ctest test name. Without a printer, gtest dumped the
+// raw bytes of the old two-field struct, and the three padding bytes after
+// `abovenet` were never initialised, so the names changed from run to run.
+// Each case now carries the dump recorded for it, which keeps its name fixed.
 struct TopoParams {
   bool abovenet;
   std::uint64_t seed;
+  const char* ctest_name;
 };
+
+void PrintTo(const TopoParams& params, std::ostream* os) {
+  *os << params.ctest_name;
+}
 
 class TopologyProperty : public ::testing::TestWithParam<TopoParams> {};
 
 TEST_P(TopologyProperty, StructuralInvariants) {
-  const auto [abovenet, seed] = GetParam();
-  const netsim::IspProfile profile =
-      abovenet ? netsim::abovenet_profile() : netsim::exodus_profile();
-  const netsim::Topology topo = netsim::make_isp_topology(profile, seed);
+  const TopoParams& params = GetParam();
+  const netsim::IspProfile profile = params.abovenet
+                                         ? netsim::abovenet_profile()
+                                         : netsim::exodus_profile();
+  const netsim::Topology topo = netsim::make_isp_topology(profile, params.seed);
 
   EXPECT_EQ(topo.node_count(), profile.target_router_count);
   // Construction succeeding implies connectivity; verify adjacency symmetry
@@ -231,13 +242,27 @@ TEST_P(TopologyProperty, StructuralInvariants) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TopologyProperty,
-                         ::testing::Values(TopoParams{true, 1},
-                                           TopoParams{true, 7},
-                                           TopoParams{true, 13},
-                                           TopoParams{false, 1},
-                                           TopoParams{false, 7},
-                                           TopoParams{false, 13}));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, TopologyProperty,
+    ::testing::Values(
+        TopoParams{true, 1,
+                   "16-byte object <01-00 00-00 "
+                   "00-00 00-00 01-00 00-00 00-00 00-00>"},
+        TopoParams{true, 7,
+                   "16-byte object <01-00 00-00 "
+                   "00-00 00-00 07-00 00-00 00-00 00-00>"},
+        TopoParams{true, 13,
+                   "16-byte object <01-00 00-00 "
+                   "00-00 00-00 0D-00 00-00 00-00 00-00>"},
+        TopoParams{false, 1,
+                   "16-byte object <00-C7 D3-ED "
+                   "00-00 00-00 01-00 00-00 00-00 00-00>"},
+        TopoParams{false, 7,
+                   "16-byte object <00-00 00-00 "
+                   "00-00 00-00 07-00 00-00 00-00 00-00>"},
+        TopoParams{false, 13,
+                   "16-byte object <00-C7 D3-ED "
+                   "00-00 00-00 0D-00 00-00 00-00 00-00>"}));
 
 // --- Summary serialization round-trips across formats/shapes ---------------
 
