@@ -1,16 +1,19 @@
 // SIMD kernel speedups: scalar vs the best dispatch level on this host.
 //
-// One row per kernel of linalg/simd.hpp plus two end-to-end rows (k-means
-// assignment, full summarize), each timed with the dispatch pinned to
-// scalar and then to detected().  Every row carries a `kernel_<name>` key
-// so bench/check_bench_regression.py can match rows across runs without
-// relying on order, and the speedup column is what the CI regression gate
-// floors.  Kernel outputs are checksummed and compared across levels — a
-// determinism violation (any bit difference) fails the bench outright,
-// because the whole design contract is "SIMD changes nothing but time".
+// One row per kernel of linalg/simd.hpp plus three end-to-end rows (k-means
+// assignment, k-means++ seeding, full summarize), each timed with the
+// dispatch pinned to scalar and then to detected().  Every row carries a
+// `kernel_<name>` key so bench/check_bench_regression.py can match rows
+// across runs without relying on order, and the speedup column is what the
+// CI regression gate floors.  Kernel outputs are checksummed and compared
+// across levels — a determinism violation (any bit difference) fails the
+// bench outright, because the whole design contract is "SIMD changes
+// nothing but time".
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 
 #include "common.hpp"
@@ -173,6 +176,37 @@ int main() {
         return acc;
       }),
       static_cast<double>(kBatch) * kAssignIters, rows);
+
+  // k-means++ seeding at the paper's k: the D^2 update through the kernel
+  // plus the serial total and pick scan, with the pick drawn at half the
+  // mass so the run needs no rng.
+  constexpr std::size_t kSeedK = 200;
+  std::vector<double> d2(kBatch);
+  all_identical &= report(
+      "kmeans_seed",
+      time_levels([&] {
+        std::fill(d2.begin(), d2.end(), std::numeric_limits<double>::max());
+        double acc = 0.0;
+        std::size_t pick = 0;
+        for (std::size_t c = 1; c < kSeedK; ++c) {
+          simd::min_sq_dist(batch.data(), batch.stride(), kDims,
+                            batch_rows.row(pick).data(), kBatch, d2.data());
+          double total = 0.0;
+          for (const double v : d2) total += v;
+          double target = 0.5 * total;
+          pick = kBatch - 1;
+          for (std::size_t i = 0; i < kBatch; ++i) {
+            target -= d2[i];
+            if (target <= 0.0) {
+              pick = i;
+              break;
+            }
+          }
+          acc += total + static_cast<double>(pick);
+        }
+        return acc;
+      }),
+      static_cast<double>(kBatch) * (kSeedK - 1), rows);
 
   constexpr int kPointIters = 20000;
   all_identical &= report(

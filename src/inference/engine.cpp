@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "packet/fields.hpp"
 #include "packet/wire.hpp"
 #include "telemetry/export.hpp"
 
@@ -115,6 +116,11 @@ std::vector<QuestionMatch> InferenceEngine::match(
   // the aggregate and independent across questions, so it fans out over the
   // pool.  Matched rows depend only on tau_d (the distance threshold); the
   // alert flag additionally compares the count sum against scaled_tau_c.
+  if (!aggregate.empty() &&
+      aggregate.centroids.cols() != packet::kFieldCount) {
+    throw std::invalid_argument(
+        "InferenceEngine::match: aggregate is not kFieldCount fields wide");
+  }
   std::vector<QuestionMatch> matches(questions_.size());
   const auto match_one = [&](std::size_t qi) {
     const rules::Question& q = questions_[qi];

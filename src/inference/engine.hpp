@@ -166,7 +166,8 @@ class InferenceEngine {
   /// QuestionMatch per question in question order.  Read-only on engine
   /// state; fans out over the attached pool.  The sharded tier runs this
   /// per shard and merges the partials before a single decide() at the
-  /// root.
+  /// root.  Throws std::invalid_argument when a non-empty aggregate is not
+  /// packet::kFieldCount fields wide: questions read every field of a row.
   [[nodiscard]] std::vector<QuestionMatch> match(
       const AggregatedSummary& aggregate) const;
 

@@ -1,5 +1,6 @@
 #include "linalg/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -24,44 +25,35 @@ typedef double v4d __attribute__((vector_size(32)));
 typedef double v8d __attribute__((vector_size(64)));
 #endif
 
+// In-place fills rather than by-value returns: a vector-returning helper
+// without a target attribute changes ABI between dispatch levels (-Wpsabi).
 template <class VD>
-[[gnu::always_inline]] inline VD broadcast(double x) noexcept {
-  VD v;
+[[gnu::always_inline]] inline void splat(VD& v, double x) noexcept {
   for (std::size_t l = 0; l < sizeof(VD) / sizeof(double); ++l) v[l] = x;
-  return v;
 }
 
 template <class VI>
-[[gnu::always_inline]] inline VI broadcast_i(long long x) noexcept {
-  VI v;
+[[gnu::always_inline]] inline void splat_i(VI& v, long long x) noexcept {
   for (std::size_t l = 0; l < sizeof(VI) / sizeof(long long); ++l) v[l] = x;
-  return v;
 }
 
 // ---------------------------------------------------------------------------
-// nearest_centroids: lanes are points (SoA batch), reduction over fields is
-// serial per lane, so every level is bit-identical to the scalar scan.
+// Per-point kernels over an SoA batch (nearest_centroids, min_sq_dist):
+// lanes are points, and each lane sums its fields serially in order from
+// 0.0, so every level is bit-identical to the scalar scan.
 
-[[gnu::always_inline]] inline void nearest_one(
-    const double* x, std::size_t stride, std::size_t d,
-    const double* centroids, std::size_t k, std::size_t i,
-    std::size_t* assignment, double* best_dist) noexcept {
-  double best = std::numeric_limits<double>::max();
-  std::size_t best_c = 0;
-  for (std::size_t c = 0; c < k; ++c) {
-    const double* cen = centroids + c * d;
-    double acc = 0.0;
-    for (std::size_t j = 0; j < d; ++j) {
-      const double diff = x[j * stride + i] - cen[j];
-      acc += diff * diff;
-    }
-    if (acc < best) {
-      best = acc;
-      best_c = c;
-    }
+/// Squared distance from point i of the batch to a row-major centre.
+[[gnu::always_inline]] inline double sq_dist_one(const double* x,
+                                                 std::size_t stride,
+                                                 std::size_t d,
+                                                 const double* centre,
+                                                 std::size_t i) noexcept {
+  double acc = 0.0;
+  for (std::size_t j = 0; j < d; ++j) {
+    const double diff = x[j * stride + i] - centre[j];
+    acc += diff * diff;
   }
-  assignment[i] = best_c;
-  best_dist[i] = best;
+  return acc;
 }
 
 void nearest_centroids_scalar(const double* x, std::size_t stride,
@@ -70,11 +62,66 @@ void nearest_centroids_scalar(const double* x, std::size_t stride,
                               std::size_t end, std::size_t* assignment,
                               double* best_dist) noexcept {
   for (std::size_t i = begin; i < end; ++i) {
-    nearest_one(x, stride, d, centroids, k, i, assignment, best_dist);
+    double best = std::numeric_limits<double>::max();
+    std::size_t best_c = 0;
+    for (std::size_t c = 0; c < k; ++c) {
+      const double acc = sq_dist_one(x, stride, d, centroids + c * d, i);
+      if (acc < best) {
+        best = acc;
+        best_c = c;
+      }
+    }
+    assignment[i] = best_c;
+    best_dist[i] = best;
   }
 }
 
 #ifdef JAAL_SIMD_X86
+/// acc += (p[0..kW) - c)^2 lane by lane: one field of kW points.
+template <class VD>
+[[gnu::always_inline]] inline void add_sq_diff(VD& acc, const double* p,
+                                               const VD& c) noexcept {
+  VD xv;
+  std::memcpy(&xv, p, sizeof xv);
+  const VD diff = xv - c;
+  acc += diff * diff;
+}
+
+/// acc = squared distances from the kW points starting at xi to a row-major
+/// centre: sq_dist_one lane by lane.
+template <class VD>
+[[gnu::always_inline]] inline void sq_dist_vec(VD& acc, const double* xi,
+                                               std::size_t stride,
+                                               std::size_t d,
+                                               const double* centre) noexcept {
+  splat(acc, 0.0);
+  for (std::size_t j = 0; j < d; ++j) {
+    VD cj;
+    splat(cj, centre[j]);
+    add_sq_diff(acc, xi + j * stride, cj);
+  }
+}
+
+/// Lanes where acc < best take acc and centroid index c; the strict < makes
+/// the first index win ties, as in the scalar scan.
+template <class VD, class VI>
+[[gnu::always_inline]] inline void keep_closer(const VD& acc, const VI& c,
+                                               VD& best, VI& best_c) noexcept {
+  const VI closer = acc < best;
+  best = closer ? acc : best;
+  best_c = closer ? c : best_c;
+}
+
+template <class VD, class VI>
+[[gnu::always_inline]] inline void store_nearest(
+    const VD& best, const VI& best_c, std::size_t i, std::size_t* assignment,
+    double* best_dist) noexcept {
+  for (std::size_t l = 0; l < sizeof(VD) / sizeof(double); ++l) {
+    assignment[i + l] = static_cast<std::size_t>(best_c[l]);
+    best_dist[i + l] = best[l];
+  }
+}
+
 template <class VD>
 [[gnu::always_inline]] inline void nearest_centroids_impl(
     const double* x, std::size_t stride, std::size_t d,
@@ -82,31 +129,57 @@ template <class VD>
     std::size_t end, std::size_t* assignment, double* best_dist) noexcept {
   constexpr std::size_t kW = sizeof(VD) / sizeof(double);
   using VI = decltype(std::declval<VD>() < std::declval<VD>());
+  VD far;
+  splat(far, std::numeric_limits<double>::max());
+  VI first;
+  splat_i(first, 0);
   std::size_t i = begin;
-  for (; i + kW <= end; i += kW) {
-    VD best = broadcast<VD>(std::numeric_limits<double>::max());
-    VI best_c = broadcast_i<VI>(0);
+  // Four point vectors per centroid step: each centroid field is broadcast
+  // once per 4*kW points and the four accumulation chains overlap.  Named
+  // accumulators, not an array: GCC keeps `VD acc[4]` in memory.
+  for (; i + 4 * kW <= end; i += 4 * kW) {
+    VD best0 = far, best1 = far, best2 = far, best3 = far;
+    VI bc0 = first, bc1 = first, bc2 = first, bc3 = first;
     for (std::size_t c = 0; c < k; ++c) {
       const double* cen = centroids + c * d;
-      VD acc = broadcast<VD>(0.0);
+      VD acc0;
+      splat(acc0, 0.0);
+      VD acc1 = acc0, acc2 = acc0, acc3 = acc0;
       for (std::size_t j = 0; j < d; ++j) {
-        VD xv;
-        std::memcpy(&xv, x + j * stride + i, sizeof xv);
-        const VD diff = xv - broadcast<VD>(cen[j]);
-        acc += diff * diff;
+        const double* col = x + j * stride + i;
+        VD cj;
+        splat(cj, cen[j]);
+        add_sq_diff(acc0, col, cj);
+        add_sq_diff(acc1, col + kW, cj);
+        add_sq_diff(acc2, col + 2 * kW, cj);
+        add_sq_diff(acc3, col + 3 * kW, cj);
       }
-      const VI closer = acc < best;
-      best = closer ? acc : best;
-      best_c = closer ? broadcast_i<VI>(static_cast<long long>(c)) : best_c;
+      VI ci;
+      splat_i(ci, static_cast<long long>(c));
+      keep_closer(acc0, ci, best0, bc0);
+      keep_closer(acc1, ci, best1, bc1);
+      keep_closer(acc2, ci, best2, bc2);
+      keep_closer(acc3, ci, best3, bc3);
     }
-    for (std::size_t l = 0; l < kW; ++l) {
-      assignment[i + l] = static_cast<std::size_t>(best_c[l]);
-      best_dist[i + l] = best[l];
+    store_nearest(best0, bc0, i, assignment, best_dist);
+    store_nearest(best1, bc1, i + kW, assignment, best_dist);
+    store_nearest(best2, bc2, i + 2 * kW, assignment, best_dist);
+    store_nearest(best3, bc3, i + 3 * kW, assignment, best_dist);
+  }
+  for (; i + kW <= end; i += kW) {
+    VD best = far;
+    VI best_c = first;
+    for (std::size_t c = 0; c < k; ++c) {
+      VD acc;
+      sq_dist_vec(acc, x + i, stride, d, centroids + c * d);
+      VI ci;
+      splat_i(ci, static_cast<long long>(c));
+      keep_closer(acc, ci, best, best_c);
     }
+    store_nearest(best, best_c, i, assignment, best_dist);
   }
-  for (; i < end; ++i) {
-    nearest_one(x, stride, d, centroids, k, i, assignment, best_dist);
-  }
+  nearest_centroids_scalar(x, stride, d, centroids, k, i, end, assignment,
+                           best_dist);
 }
 
 __attribute__((target("avx2"))) void nearest_centroids_avx2(
@@ -123,6 +196,51 @@ __attribute__((target("avx512f"))) void nearest_centroids_avx512(
     std::size_t end, std::size_t* assignment, double* best_dist) noexcept {
   nearest_centroids_impl<v8d>(x, stride, d, centroids, k, begin, end,
                               assignment, best_dist);
+}
+#endif  // JAAL_SIMD_X86
+
+// ---------------------------------------------------------------------------
+// min_sq_dist (the k-means++ D^2 update) keeps std::min(d2, acc), i.e.
+// `acc < d2 ? acc : d2`, in every lane, so a NaN distance never replaces d2.
+
+void min_sq_dist_scalar(const double* x, std::size_t stride, std::size_t d,
+                        const double* centre, std::size_t n,
+                        double* d2) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    d2[i] = std::min(d2[i], sq_dist_one(x, stride, d, centre, i));
+  }
+}
+
+#ifdef JAAL_SIMD_X86
+template <class VD>
+[[gnu::always_inline]] inline void min_sq_dist_impl(
+    const double* x, std::size_t stride, std::size_t d, const double* centre,
+    std::size_t n, double* d2) noexcept {
+  constexpr std::size_t kW = sizeof(VD) / sizeof(double);
+  using VI = decltype(std::declval<VD>() < std::declval<VD>());
+  std::size_t i = 0;
+  for (; i + kW <= n; i += kW) {
+    VD acc;
+    sq_dist_vec(acc, x + i, stride, d, centre);
+    VD cur;
+    std::memcpy(&cur, d2 + i, sizeof cur);
+    const VI closer = acc < cur;
+    cur = closer ? acc : cur;
+    std::memcpy(d2 + i, &cur, sizeof cur);
+  }
+  min_sq_dist_scalar(x + i, stride, d, centre, n - i, d2 + i);
+}
+
+__attribute__((target("avx2"))) void min_sq_dist_avx2(
+    const double* x, std::size_t stride, std::size_t d, const double* centre,
+    std::size_t n, double* d2) noexcept {
+  min_sq_dist_impl<v4d>(x, stride, d, centre, n, d2);
+}
+
+__attribute__((target("avx512f"))) void min_sq_dist_avx512(
+    const double* x, std::size_t stride, std::size_t d, const double* centre,
+    std::size_t n, double* d2) noexcept {
+  min_sq_dist_impl<v8d>(x, stride, d, centre, n, d2);
 }
 #endif  // JAAL_SIMD_X86
 
@@ -160,11 +278,14 @@ template <class VD>
   out.dist = std::numeric_limits<double>::max();
   std::size_t c = 0;
   for (; c + kW <= k; c += kW) {
-    VD acc = broadcast<VD>(0.0);
+    VD acc;
+    splat(acc, 0.0);
     for (std::size_t j = 0; j < d; ++j) {
       VD cv;
       std::memcpy(&cv, dims + j * stride + c, sizeof cv);
-      const VD diff = broadcast<VD>(v[j]) - cv;
+      VD vj;
+      splat(vj, v[j]);
+      const VD diff = vj - cv;
       acc += diff * diff;
     }
     for (std::size_t l = 0; l < kW; ++l) {
@@ -251,7 +372,8 @@ PairDots pair_dots_scalar(const double* a, const double* b,
 __attribute__((target("avx2"))) double dot_avx2(const double* a,
                                                 const double* b,
                                                 std::size_t n) noexcept {
-  v4d acc = broadcast<v4d>(0.0);
+  v4d acc;
+  splat(acc, 0.0);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     v4d av, bv;
@@ -266,9 +388,10 @@ __attribute__((target("avx2"))) double dot_avx2(const double* a,
 
 __attribute__((target("avx2"))) PairDots pair_dots_avx2(
     const double* a, const double* b, std::size_t n) noexcept {
-  v4d aa = broadcast<v4d>(0.0);
-  v4d bb = broadcast<v4d>(0.0);
-  v4d ab = broadcast<v4d>(0.0);
+  v4d aa;
+  splat(aa, 0.0);
+  v4d bb = aa;
+  v4d ab = aa;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     v4d av, bv;
@@ -312,8 +435,9 @@ template <class VD>
                                                     std::size_t n, double cs,
                                                     double sn) noexcept {
   constexpr std::size_t kW = sizeof(VD) / sizeof(double);
-  const VD csv = broadcast<VD>(cs);
-  const VD snv = broadcast<VD>(sn);
+  VD csv, snv;
+  splat(csv, cs);
+  splat(snv, sn);
   std::size_t i = 0;
   for (; i + kW <= n; i += kW) {
     VD av, bv;
@@ -429,6 +553,21 @@ void rotate_pair(double* a, double* b, std::size_t n, double cs,
   }
 #endif
   rotate_pair_scalar(a, b, n, cs, sn);
+}
+
+void min_sq_dist(const double* x, std::size_t stride, std::size_t d,
+                 const double* centre, std::size_t n, double* d2) noexcept {
+#ifdef JAAL_SIMD_X86
+  switch (active()) {
+    case Level::kAvx512:
+      return min_sq_dist_avx512(x, stride, d, centre, n, d2);
+    case Level::kAvx2:
+      return min_sq_dist_avx2(x, stride, d, centre, n, d2);
+    case Level::kScalar:
+      break;
+  }
+#endif
+  min_sq_dist_scalar(x, stride, d, centre, n, d2);
 }
 
 void nearest_centroids(const double* x, std::size_t stride, std::size_t d,

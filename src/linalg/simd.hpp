@@ -1,17 +1,18 @@
 // Runtime-dispatched SIMD kernels for the summarization hot path.
 //
 // Two loop families dominate a monitor's epoch latency: the k-means
-// point-to-centroid distance search (O(n k p) per Lloyd iteration) and the
-// one-sided Jacobi column sweeps of the SVD (O(n p^2) per sweep).  This
-// header exposes portable 4/8-wide kernels for both, written with GCC
-// vector extensions and dispatched at runtime (scalar everywhere, AVX2 /
-// AVX-512 on x86-64 hosts that support them; JAAL_SIMD=scalar|avx2|avx512
-// overrides, force_level() pins a level for tests and benches).
+// point-to-centroid distance searches (O(n k p) for k-means++ seeding and
+// per Lloyd iteration) and the one-sided Jacobi column sweeps of the SVD
+// (O(n p^2) per sweep).  This header exposes portable 4/8-wide kernels for
+// both, written with GCC vector extensions and dispatched at runtime
+// (scalar everywhere, AVX2 / AVX-512 on x86-64 hosts that support them;
+// JAAL_SIMD=scalar|avx2|avx512 overrides, force_level() pins a level for
+// tests and benches).
 //
 // Determinism contract (see DESIGN.md "SIMD kernels & SoA layout"):
-//  * Per-point kernels (nearest_centroids, nearest_point) reduce over the
-//    p fields serially per lane, and lanes never interact — results are
-//    bit-identical to the scalar path at every dispatch level.
+//  * Per-point kernels (min_sq_dist, nearest_centroids, nearest_point)
+//    reduce over the p fields serially per lane, and lanes never interact —
+//    results are bit-identical to the scalar path at every dispatch level.
 //  * Reduction kernels (dot, pair_dots) use a fixed canonical 4-accumulator
 //    order at every level; the 8-wide level deliberately runs the 4-wide
 //    reduction body because folding 8 lanes to 4 would regroup the sums.
@@ -66,6 +67,13 @@ struct PairDots {
 /// sn*a[i] + cs*b[i]).
 void rotate_pair(double* a, double* b, std::size_t n, double cs,
                  double sn) noexcept;
+
+/// k-means++ D^2 update for points [0, n) of an SoA batch (layout as in
+/// nearest_centroids) against one new centre of length d:
+/// d2[i] = std::min(d2[i], |x_i - centre|^2), the distance summed over the
+/// fields in order from 0.0 exactly as the scalar loop does.
+void min_sq_dist(const double* x, std::size_t stride, std::size_t d,
+                 const double* centre, std::size_t n, double* d2) noexcept;
 
 /// Nearest-centroid search for points [begin, end) of an SoA batch: column
 /// j of the batch lives at x + j*stride.  `centroids` is row-major k x d.

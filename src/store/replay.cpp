@@ -1,8 +1,21 @@
 #include "store/replay.hpp"
 
+#include <variant>
+
 #include "inference/aggregate.hpp"
+#include "packet/fields.hpp"
 
 namespace jaal::store {
+namespace {
+
+std::size_t field_width(const summarize::MonitorSummary& summary) {
+  if (const auto* c = std::get_if<summarize::CombinedSummary>(&summary)) {
+    return c->centroids.cols();
+  }
+  return std::get<summarize::SplitSummary>(summary).vt.cols();
+}
+
+}  // namespace
 
 StoreReplayer::StoreReplayer(const StoreConfig& cfg)
     : store_(cfg, /*writable=*/false) {}
@@ -13,19 +26,27 @@ std::vector<ReplayEpoch> StoreReplayer::replay(
   // Summaries of an epoch precede its EpochMeta in the log, so one pass
   // suffices: collect until the commit record closes the epoch.
   inference::Aggregator aggregator;
+  bool wrong_width = false;  // the open epoch holds an unreadable summary
   store_.summaries_log().for_each([&](const RecordView& rec) {
     if (rec.kind == RecordKind::kSummary) {
-      // Aggregation order is append order — the live controller's order
-      // (carry-ins first, then monitors ascending).
-      aggregator.add(summarize::deserialize(rec.payload));
+      const auto summary = summarize::deserialize(rec.payload);
+      if (field_width(summary) != packet::kFieldCount) {
+        wrong_width = true;
+      } else {
+        // Aggregation order is append order — the live controller's order
+        // (carry-ins first, then monitors ascending).
+        aggregator.add(summary);
+      }
       return true;
     }
     if (rec.kind != RecordKind::kEpochMeta) return true;
     const auto meta = decode_epoch_meta(rec.epoch, rec.payload);
-    if (!meta) {
-      // CRC-valid but malformed commit record: the epoch is unreplayable.
-      // Discard its pending summaries so they cannot leak into the next
-      // epoch's aggregate.
+    if (!meta || wrong_width) {
+      // CRC-valid but malformed commit record, or a summary the rules
+      // cannot read (every question reads all kFieldCount fields): the
+      // epoch is unreplayable.  Discard its pending summaries so they
+      // cannot leak into the next epoch's aggregate.
+      wrong_width = false;
       if (aggregator.summaries_added() > 0) (void)aggregator.take();
       return true;
     }

@@ -10,16 +10,6 @@
 namespace jaal::summarize {
 namespace {
 
-[[nodiscard]] double sq_dist(std::span<const double> a,
-                             std::span<const double> b) noexcept {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    sum += d * d;
-  }
-  return sum;
-}
-
 /// Below this many points the fan-out overhead exceeds the win; the output
 /// is identical either way, so the cutoff only affects speed.
 constexpr std::size_t kParallelAssignMin = 128;
@@ -62,53 +52,46 @@ void assign_to_centroids(const linalg::SoaMatrix& x,
 
 namespace {
 
-/// Nearest-centroid search for every row of x: fills assignment[i] and
-/// best_dist[i] through the SIMD kernel.  Each point is one lane and its
-/// arithmetic does not depend on scheduling or dispatch level, so pooled,
-/// serial, vector, and scalar runs all produce identical bits.
-void assign_nearest(const linalg::SoaMatrix& x, const linalg::Matrix& centroids,
-                    std::vector<std::size_t>& assignment,
-                    std::vector<double>& best_dist,
-                    runtime::ThreadPool* pool) {
-  assign_to_centroids(x, centroids, assignment, best_dist, pool);
-}
-
-/// k-means++ D^2 seeding: first centroid uniform, each next centroid chosen
-/// with probability proportional to squared distance from the closest
-/// already-chosen centroid.
-std::vector<std::size_t> seed_plus_plus(const linalg::Matrix& x, std::size_t k,
-                                        std::mt19937_64& rng) {
+/// k-means++ D^2 seeding from a given first seed: each next seed is drawn
+/// with probability proportional to mass(i), a function of d2[i], the
+/// squared distance from point i to its closest seed so far.  `d2` (size n)
+/// is scratch.  The D^2 update runs per point through the SIMD kernel on the
+/// SoA copy; the total and the pick scan stay serial in point order, so the
+/// seeds do not depend on the dispatch level.
+template <class Mass>
+std::vector<std::size_t> seed_d2(const linalg::Matrix& x,
+                                 const linalg::SoaMatrix& xs,
+                                 std::size_t first, std::size_t k,
+                                 std::mt19937_64& rng, std::span<double> d2,
+                                 Mass mass) {
   const std::size_t n = x.rows();
-  std::vector<std::size_t> chosen;
-  chosen.reserve(k);
-  chosen.push_back(rng() % n);
-
-  std::vector<double> d2(n, std::numeric_limits<double>::max());
+  std::vector<std::size_t> seeds;
+  seeds.reserve(k);
+  seeds.push_back(first);
+  std::fill(d2.begin(), d2.end(), std::numeric_limits<double>::max());
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  while (chosen.size() < k) {
-    const auto last = x.row(chosen.back());
+  while (seeds.size() < k) {
+    linalg::simd::min_sq_dist(xs.data(), xs.stride(), xs.cols(),
+                              x.row(seeds.back()).data(), n, d2.data());
     double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      d2[i] = std::min(d2[i], sq_dist(x.row(i), last));
-      total += d2[i];
-    }
+    for (std::size_t i = 0; i < n; ++i) total += mass(i);
     if (total <= 0.0) {
       // All remaining points coincide with a centroid; pick arbitrarily.
-      chosen.push_back(rng() % n);
+      seeds.push_back(rng() % n);
       continue;
     }
     double target = unit(rng) * total;
     std::size_t pick = n - 1;
     for (std::size_t i = 0; i < n; ++i) {
-      target -= d2[i];
+      target -= mass(i);
       if (target <= 0.0) {
         pick = i;
         break;
       }
     }
-    chosen.push_back(pick);
+    seeds.push_back(pick);
   }
-  return chosen;
+  return seeds;
 }
 
 std::vector<std::size_t> seed_random(const linalg::Matrix& x, std::size_t k,
@@ -117,6 +100,16 @@ std::vector<std::size_t> seed_random(const linalg::Matrix& x, std::size_t k,
   chosen.reserve(k);
   for (std::size_t i = 0; i < k; ++i) chosen.push_back(rng() % x.rows());
   return chosen;
+}
+
+linalg::Matrix gather_rows(const linalg::Matrix& x,
+                           const std::vector<std::size_t>& rows) {
+  linalg::Matrix out(rows.size(), x.cols());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const auto src = x.row(rows[r]);
+    std::copy(src.begin(), src.end(), out.row(r).begin());
+  }
+  return out;
 }
 
 }  // namespace
@@ -138,28 +131,27 @@ KMeansResult kmeans(const linalg::Matrix& x, std::size_t k,
     return res;
   }
 
-  const auto seeds = opts.init == KMeansInit::kPlusPlus
-                         ? seed_plus_plus(x, k, rng)
-                         : seed_random(x, k, rng);
-  res.centroids = linalg::Matrix(k, d);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto src = x.row(seeds[c]);
-    std::copy(src.begin(), src.end(), res.centroids.row(c).begin());
-  }
-
-  // One SoA conversion per call; every Lloyd iteration's assignment step
-  // reads the same column-major copy.
+  // One SoA conversion per call; seeding's D^2 updates and every Lloyd
+  // assignment step read the same column-major copy.  best_dist doubles as
+  // the seeding's D^2 scratch.
   const linalg::SoaMatrix xs = linalg::SoaMatrix::from_rows(x);
+  std::vector<double> best_dist(n, 0.0);
+  res.centroids = gather_rows(
+      x, opts.init == KMeansInit::kPlusPlus
+             ? seed_d2(x, xs, rng() % n, k, rng, best_dist,
+                       [&](std::size_t i) { return best_dist[i]; })
+             : seed_random(x, k, rng));
   res.assignment.assign(n, 0);
   res.counts.assign(k, 0);
-  std::vector<double> best_dist(n, 0.0);
   linalg::Matrix sums(k, d);
+  bool settled = false;  // the last update left every centroid unchanged
   for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
     res.iterations = iter + 1;
     // Assignment step: the nearest-centroid search fans out over the pool;
     // the floating-point reductions below stay serial in point order so the
     // result is bit-identical to a threads=1 run.
-    assign_nearest(xs, res.centroids, res.assignment, best_dist, opts.pool);
+    assign_to_centroids(xs, res.centroids, res.assignment, best_dist,
+                        opts.pool);
     res.inertia = 0.0;
     std::fill(res.counts.begin(), res.counts.end(), 0);
     std::fill(sums.data().begin(), sums.data().end(), 0.0);
@@ -173,6 +165,7 @@ KMeansResult kmeans(const linalg::Matrix& x, std::size_t k,
     }
     // Update step.
     double moved = 0.0;
+    settled = true;
     for (std::size_t c = 0; c < k; ++c) {
       auto centroid = res.centroids.row(c);
       if (res.counts[c] == 0) continue;  // empty cluster keeps its centroid
@@ -181,19 +174,26 @@ KMeansResult kmeans(const linalg::Matrix& x, std::size_t k,
         const double updated =
             sum_row[j] / static_cast<double>(res.counts[c]);
         moved = std::max(moved, std::abs(updated - centroid[j]));
+        settled = settled && updated == centroid[j];
         centroid[j] = updated;
       }
     }
     if (moved < opts.tolerance) break;
   }
 
-  // Final assignment consistent with the returned centroids.
-  assign_nearest(xs, res.centroids, res.assignment, best_dist, opts.pool);
-  res.inertia = 0.0;
-  std::fill(res.counts.begin(), res.counts.end(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    res.inertia += best_dist[i];
-    ++res.counts[res.assignment[i]];
+  // Final assignment consistent with the returned centroids.  When the last
+  // update moved no centroid (settled; a NaN never compares equal, and
+  // +0/-0 give the same distances) the last assignment step already used
+  // them, so assignment, counts and inertia are exact as they stand.
+  if (!settled) {
+    assign_to_centroids(xs, res.centroids, res.assignment, best_dist,
+                        opts.pool);
+    res.inertia = 0.0;
+    std::fill(res.counts.begin(), res.counts.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      res.inertia += best_dist[i];
+      ++res.counts[res.assignment[i]];
+    }
   }
   return res;
 }
@@ -224,57 +224,27 @@ KMeansResult weighted_kmeans(const linalg::Matrix& x,
     return res;
   }
 
-  // Weighted D^2 seeding: candidate probability proportional to
-  // weight x squared distance (the weighted k-means++ generalization).
-  std::vector<std::size_t> seeds;
-  {
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-    // First seed: weight-proportional.
-    double target = unit(rng) * static_cast<double>(total_weight);
-    std::size_t first = n - 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      target -= static_cast<double>(weights[i]);
-      if (target <= 0.0) {
-        first = i;
-        break;
-      }
-    }
-    seeds.push_back(first);
-    std::vector<double> d2(n, std::numeric_limits<double>::max());
-    while (seeds.size() < k) {
-      const auto last = x.row(seeds.back());
-      double total = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        d2[i] = std::min(d2[i], sq_dist(x.row(i), last));
-        total += d2[i] * static_cast<double>(weights[i]);
-      }
-      if (total <= 0.0) {
-        seeds.push_back(rng() % n);
-        continue;
-      }
-      double pick_target = unit(rng) * total;
-      std::size_t pick = n - 1;
-      for (std::size_t i = 0; i < n; ++i) {
-        pick_target -= d2[i] * static_cast<double>(weights[i]);
-        if (pick_target <= 0.0) {
-          pick = i;
-          break;
-        }
-      }
-      seeds.push_back(pick);
-    }
-  }
-
-  res.centroids = linalg::Matrix(k, d);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto src = x.row(seeds[c]);
-    std::copy(src.begin(), src.end(), res.centroids.row(c).begin());
-  }
-
   const linalg::SoaMatrix xs = linalg::SoaMatrix::from_rows(x);
+  std::vector<double> best_dist(n, 0.0);
+  // Weighted D^2 seeding: the first seed is weight-proportional, each next
+  // one proportional to weight x squared distance (the weighted k-means++
+  // generalization).
+  double target = std::uniform_real_distribution<double>(0.0, 1.0)(rng) *
+                  static_cast<double>(total_weight);
+  std::size_t first = n - 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    target -= static_cast<double>(weights[i]);
+    if (target <= 0.0) {
+      first = i;
+      break;
+    }
+  }
+  res.centroids = gather_rows(
+      x, seed_d2(x, xs, first, k, rng, best_dist, [&](std::size_t i) {
+        return best_dist[i] * static_cast<double>(weights[i]);
+      }));
   res.assignment.assign(n, 0);
   res.counts.assign(k, 0);
-  std::vector<double> best_dist(n, 0.0);
   linalg::Matrix sums(k, d);
   for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
     res.iterations = iter + 1;

@@ -58,6 +58,17 @@ TEST(Engine, ValidatesConfig) {
   EXPECT_THROW(InferenceEngine({}, EngineConfig{}), std::invalid_argument);
 }
 
+TEST(Engine, MatchRejectsWrongWidthAggregate) {
+  InferenceEngine engine(flood_ruleset(), EngineConfig{});
+  AggregatedSummary narrow;
+  narrow.centroids = linalg::Matrix(1, 2);
+  narrow.counts = {500};
+  narrow.origin = {0};
+  narrow.local_index = {0};
+  EXPECT_THROW((void)engine.match(narrow), std::invalid_argument);
+  EXPECT_THROW((void)engine.infer(narrow, nullptr), std::invalid_argument);
+}
+
 TEST(Engine, Case1StrictMatchAlertsWithoutFeedback) {
   EngineConfig cfg;
   cfg.default_thresholds = {0.05, 0.15};

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <span>
 #include <stdexcept>
+#include <string>
+
+#include "linalg/simd.hpp"
 
 namespace jaal::summarize {
 namespace {
@@ -21,6 +28,249 @@ linalg::Matrix blobs(std::size_t per_cluster, std::uint64_t seed) {
     }
   }
   return x;
+}
+
+// Reference seeders: the row-major scalar k-means++ seeding of kmeans() and
+// weighted_kmeans() as it stood before seeding moved onto the SoA kernel,
+// kept verbatim as the oracle for the seeds.
+[[nodiscard]] double sq_dist(std::span<const double> a,
+                             std::span<const double> b) noexcept {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  return sum;
+}
+
+std::vector<std::size_t> seed_plus_plus(const linalg::Matrix& x, std::size_t k,
+                                        std::mt19937_64& rng) {
+  const std::size_t n = x.rows();
+  std::vector<std::size_t> chosen;
+  chosen.reserve(k);
+  chosen.push_back(rng() % n);
+
+  std::vector<double> d2(n, std::numeric_limits<double>::max());
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  while (chosen.size() < k) {
+    const auto last = x.row(chosen.back());
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      d2[i] = std::min(d2[i], sq_dist(x.row(i), last));
+      total += d2[i];
+    }
+    if (total <= 0.0) {
+      // All remaining points coincide with a centroid; pick arbitrarily.
+      chosen.push_back(rng() % n);
+      continue;
+    }
+    double target = unit(rng) * total;
+    std::size_t pick = n - 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      target -= d2[i];
+      if (target <= 0.0) {
+        pick = i;
+        break;
+      }
+    }
+    chosen.push_back(pick);
+  }
+  return chosen;
+}
+
+std::vector<std::size_t> weighted_seeds(const linalg::Matrix& x,
+                                        std::span<const std::uint64_t> weights,
+                                        std::uint64_t total_weight,
+                                        std::size_t k, std::mt19937_64& rng) {
+  const std::size_t n = x.rows();
+  std::vector<std::size_t> seeds;
+  {
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    // First seed: weight-proportional.
+    double target = unit(rng) * static_cast<double>(total_weight);
+    std::size_t first = n - 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      target -= static_cast<double>(weights[i]);
+      if (target <= 0.0) {
+        first = i;
+        break;
+      }
+    }
+    seeds.push_back(first);
+    std::vector<double> d2(n, std::numeric_limits<double>::max());
+    while (seeds.size() < k) {
+      const auto last = x.row(seeds.back());
+      double total = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        d2[i] = std::min(d2[i], sq_dist(x.row(i), last));
+        total += d2[i] * static_cast<double>(weights[i]);
+      }
+      if (total <= 0.0) {
+        seeds.push_back(rng() % n);
+        continue;
+      }
+      double pick_target = unit(rng) * total;
+      std::size_t pick = n - 1;
+      for (std::size_t i = 0; i < n; ++i) {
+        pick_target -= d2[i] * static_cast<double>(weights[i]);
+        if (pick_target <= 0.0) {
+          pick = i;
+          break;
+        }
+      }
+      seeds.push_back(pick);
+    }
+  }
+  return seeds;
+}
+
+/// Every dispatch level this host runs.
+std::vector<linalg::simd::Level> available_levels() {
+  using linalg::simd::Level;
+  std::vector<Level> levels = {Level::kScalar};
+  if (linalg::simd::detected() >= Level::kAvx2) levels.push_back(Level::kAvx2);
+  if (linalg::simd::detected() >= Level::kAvx512) {
+    levels.push_back(Level::kAvx512);
+  }
+  return levels;
+}
+
+/// Pins the dispatch level for a scope and restores the previous one.
+struct ForcedLevel {
+  explicit ForcedLevel(linalg::simd::Level level)
+      : prev(linalg::simd::active()) {
+    linalg::simd::force_level(level);
+  }
+  ~ForcedLevel() { linalg::simd::force_level(prev); }
+  linalg::simd::Level prev;
+};
+
+/// n x 12 points in [-1, 1); with `duplicates` only two distinct rows, so
+/// seeding soon finds every remaining D^2 zero (the `total <= 0` branch).
+linalg::Matrix seeding_points(std::size_t n, bool duplicates) {
+  std::mt19937_64 rng(1000 + n);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  linalg::Matrix x(n, 12);
+  for (double& v : x.data()) v = unit(rng);
+  if (duplicates) {
+    for (std::size_t i = 2; i < n; ++i) {
+      const auto src = x.row(i % 2);
+      std::copy(src.begin(), src.end(), x.row(i).begin());
+    }
+  }
+  return x;
+}
+
+/// Returned centroids are bit-equal to the rows `seeds` names.
+void expect_seed_rows(const linalg::Matrix& x,
+                      const std::vector<std::size_t>& seeds,
+                      const linalg::Matrix& centroids, const char* what) {
+  ASSERT_EQ(centroids.rows(), seeds.size()) << what;
+  for (std::size_t c = 0; c < seeds.size(); ++c) {
+    const auto want = x.row(seeds[c]);
+    const auto got = centroids.row(c);
+    ASSERT_EQ(std::memcmp(want.data(), got.data(), want.size_bytes()), 0)
+        << what << " centroid " << c;
+  }
+}
+
+/// The SoA seeding kernel picks exactly the seeds of the row-major scalar
+/// seeder at every dispatch level, across vector and scalar tails, the
+/// all-zero-D^2 branch and k = n - 1.  max_iterations = 0 returns the seed
+/// rows as the centroids.
+TEST(KMeans, SeedingMatchesRowMajorReference) {
+  KMeansOptions seeds_only;
+  seeds_only.max_iterations = 0;
+  for (const linalg::simd::Level level : available_levels()) {
+    ForcedLevel pin(level);
+    for (const std::size_t n : {1ul, 7ul, 8ul, 31ul, 33ul, 1500ul}) {
+      for (const bool duplicates : {false, true}) {
+        const linalg::Matrix x = seeding_points(n, duplicates);
+        std::vector<std::uint64_t> weights(n);
+        std::uint64_t total_weight = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          weights[i] = i % 4 == 3 ? 0 : 1 + i % 5;
+          total_weight += weights[i];
+        }
+        for (const std::size_t k : {std::min<std::size_t>(5, n),
+                                    std::max<std::size_t>(1, n - 1)}) {
+          const std::string what =
+              std::string(linalg::simd::level_name(level)) +
+              " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+              (duplicates ? " duplicates" : "");
+          std::mt19937_64 ref_rng(n * 31 + k), rng(n * 31 + k);
+          const auto want = seed_plus_plus(x, k, ref_rng);
+          const KMeansResult got = kmeans(x, k, rng, seeds_only);
+          expect_seed_rows(x, want, got.centroids, what.c_str());
+          if (k < n) {
+            EXPECT_EQ(ref_rng, rng) << what;
+          }
+
+          std::mt19937_64 ref_wrng(n * 37 + k), wrng(n * 37 + k);
+          const auto want_w =
+              weighted_seeds(x, weights, total_weight, k, ref_wrng);
+          const KMeansResult got_w =
+              weighted_kmeans(x, weights, k, wrng, seeds_only);
+          expect_seed_rows(x, want_w, got_w.centroids, what.c_str());
+          if (k < n) {
+            EXPECT_EQ(ref_wrng, wrng) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Whether or not kmeans() runs its final assignment sweep, the returned
+/// assignment, counts and inertia are those of a fresh nearest-centroid
+/// pass against the returned centroids: for converged runs (the last
+/// update moved nothing, so the sweep is skipped) and for runs cut off at
+/// max_iterations.
+TEST(KMeans, FinalAssignmentMatchesReturnedCentroids) {
+  const linalg::Matrix x = blobs(60, 21);
+  const linalg::SoaMatrix xs = linalg::SoaMatrix::from_rows(x);
+  std::mt19937_64 noise_rng(22);
+  std::uniform_real_distribution<double> unit(0.0, 10.0);
+  linalg::Matrix spread(x.rows(), 2);
+  for (double& v : spread.data()) v = unit(noise_rng);
+  const linalg::SoaMatrix spread_s = linalg::SoaMatrix::from_rows(spread);
+  struct Case {
+    const linalg::Matrix* x;
+    const linalg::SoaMatrix* xs;
+    std::size_t k;
+    std::size_t max_iterations;
+    bool converges;
+  };
+  const Case cases[] = {{&x, &xs, 3, 25, true},
+                        {&spread, &spread_s, 9, 100, true},
+                        {&spread, &spread_s, 9, 1, false},
+                        {&spread, &spread_s, 9, 2, false},
+                        {&spread, &spread_s, 9, 0, false}};
+  for (const Case& c : cases) {
+    KMeansOptions opts;
+    opts.max_iterations = c.max_iterations;
+    std::mt19937_64 rng(23);
+    const KMeansResult res = kmeans(*c.x, c.k, rng, opts);
+    if (c.converges) {
+      EXPECT_LT(res.iterations, c.max_iterations);
+    } else {
+      EXPECT_EQ(res.iterations, c.max_iterations);
+    }
+    const std::size_t n = c.x->rows();
+    std::vector<std::size_t> assignment(n);
+    std::vector<double> dist(n);
+    assign_to_centroids(*c.xs, res.centroids, assignment, dist);
+    double inertia = 0.0;
+    std::vector<std::uint64_t> counts(c.k, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      inertia += dist[i];
+      ++counts[assignment[i]];
+    }
+    EXPECT_EQ(res.assignment, assignment) << "max_it=" << c.max_iterations;
+    EXPECT_EQ(res.counts, counts) << "max_it=" << c.max_iterations;
+    EXPECT_EQ(std::memcmp(&res.inertia, &inertia, sizeof inertia), 0)
+        << "max_it=" << c.max_iterations;
+  }
 }
 
 TEST(KMeans, ValidatesArguments) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <random>
 
 #include "linalg/soa.hpp"
@@ -158,6 +159,47 @@ TEST(SimdKernels, NearestCentroidsBitIdenticalAcrossLevels) {
         for (std::size_t i = 0; i < n; ++i) {
           EXPECT_TRUE(bit_equal(dist_want[i], dist[i])) << "i=" << i;
         }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, MinSqDistBitIdenticalAcrossLevels) {
+  const std::size_t d = 12;
+  for (const std::size_t n : kSizes) {
+    Matrix rows(n, d);
+    std::mt19937_64 rng(n * 13 + 1);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (double& v : rows.data()) v = unit(rng);
+    const SoaMatrix x = SoaMatrix::from_rows(rows);
+    const auto centre = random_vec(d, n + 9);
+    // Incoming D^2 values below, above and equal to the new distances, plus
+    // the max() start value and a NaN that std::min keeps.
+    std::vector<double> d2_in(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      switch (i % 4) {
+        case 0: d2_in[i] = std::numeric_limits<double>::max(); break;
+        case 1: d2_in[i] = unit(rng); break;
+        case 2: d2_in[i] = 100.0 * unit(rng); break;
+        default: d2_in[i] = std::numeric_limits<double>::quiet_NaN(); break;
+      }
+    }
+    std::vector<double> want = d2_in;
+    for (std::size_t i = 0; i < n; ++i) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < d; ++j) {
+        const double diff = rows(i, j) - centre[j];
+        acc += diff * diff;
+      }
+      want[i] = std::min(want[i], acc);
+    }
+    for (const Level level : available_levels()) {
+      ForcedLevel pin(level);
+      std::vector<double> got = d2_in;
+      min_sq_dist(x.data(), x.stride(), d, centre.data(), n, got.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(bit_equal(want[i], got[i]))
+            << "n=" << n << " i=" << i << " level=" << level_name(level);
       }
     }
   }

@@ -357,7 +357,11 @@ TEST(Store, EpochMetaRoundTrips) {
 summarize::MonitorSummary sample_summary(std::uint32_t monitor) {
   summarize::CombinedSummary c;
   c.monitor = monitor;
-  c.centroids = linalg::Matrix{{0.25, 1.0 / 3.0}, {0.5, 0.1}};
+  c.centroids = linalg::Matrix(2, packet::kFieldCount);
+  c.centroids(0, 0) = 0.25;
+  c.centroids(0, 1) = 1.0 / 3.0;
+  c.centroids(1, 0) = 0.5;
+  c.centroids(1, 1) = 0.1;
   c.counts = {11, 22};
   return c;
 }
@@ -458,6 +462,48 @@ TEST(Store, ReplayDropsEpochWithMalformedMeta) {
   EXPECT_EQ(replayed[0].summaries, 1u);
   EXPECT_EQ(replayed[1].epoch, 2u);
   // Without the discard, epoch 1's orphaned summary would inflate this.
+  EXPECT_EQ(replayed[1].summaries, 1u);
+}
+
+TEST(Store, ReplayDropsEpochWithWrongWidthSummary) {
+  TempDir dir("badwidth");
+  {
+    // Epoch 1 holds one summary two fields wide: the rules cannot read it,
+    // so the epoch is unreplayable, and neither its well-formed summary nor
+    // the narrow one may leak into epoch 2.
+    TimeShardLog log({dir.str(), "summaries", 64}, /*writable=*/true);
+    const auto put = [&](std::uint64_t e, const summarize::MonitorSummary& s) {
+      ASSERT_TRUE(log.append(
+          e, 0, RecordKind::kSummary,
+          summarize::serialize(s, summarize::WirePrecision::kFloat64)));
+    };
+    const auto commit = [&](std::uint64_t e) {
+      ASSERT_TRUE(log.append(e, 0, RecordKind::kEpochMeta,
+                             encode_epoch_meta({e, 2.0 * (e + 1), 100, 1.0,
+                                                0.0})));
+    };
+    put(0, sample_summary(1));
+    commit(0);
+    summarize::CombinedSummary narrow;
+    narrow.monitor = 2;
+    narrow.centroids = linalg::Matrix{{0.25, 1.0 / 3.0}, {0.5, 0.1}};
+    narrow.counts = {11, 22};
+    put(1, sample_summary(1));
+    put(1, narrow);
+    commit(1);
+    put(2, sample_summary(3));
+    commit(2);
+  }
+  inference::InferenceEngine engine(
+      rules::parse_rules(rules::default_ruleset_text(),
+                         core::evaluation_rule_vars()),
+      inference::EngineConfig{});
+  const StoreReplayer replayer({dir.str(), 64});
+  const auto replayed = replayer.replay(engine, 1.0);
+  ASSERT_EQ(replayed.size(), 2u);
+  EXPECT_EQ(replayed[0].epoch, 0u);
+  EXPECT_EQ(replayed[0].summaries, 1u);
+  EXPECT_EQ(replayed[1].epoch, 2u);
   EXPECT_EQ(replayed[1].summaries, 1u);
 }
 
