@@ -118,8 +118,6 @@ int main() {
   const linalg::SoaMatrix batch = linalg::SoaMatrix::from_rows(batch_rows);
   linalg::Matrix centroids(kCentroids, kDims);
   for (double& v : centroids.data()) v = unit(rng);
-  const linalg::SoaMatrix centroids_dim_major =
-      linalg::SoaMatrix::from_rows(centroids);
 
   std::vector<std::vector<std::pair<std::string, double>>> rows;
   bool all_identical = true;
@@ -207,21 +205,6 @@ int main() {
         return acc;
       }),
       static_cast<double>(kBatch) * (kSeedK - 1), rows);
-
-  constexpr int kPointIters = 20000;
-  all_identical &= report(
-      "nearest_point",
-      time_levels([&] {
-        double acc = 0.0;
-        for (int i = 0; i < kPointIters; ++i) {
-          const simd::Nearest n = simd::nearest_point(
-              centroids_dim_major.data(), centroids_dim_major.stride(), kDims,
-              kCentroids, batch_rows.row(i % kBatch).data());
-          acc += n.dist + static_cast<double>(n.index);
-        }
-        return acc;
-      }),
-      static_cast<double>(kPointIters), rows);
 
   // End-to-end: the full summarize pipeline (normalize + SVD + k-means) on
   // a realistic traffic batch.  This is the acceptance row: the CI gate

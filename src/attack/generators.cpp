@@ -8,17 +8,27 @@ using packet::AttackType;
 using packet::PacketRecord;
 using packet::TcpFlag;
 
-AttackSource::AttackSource(const AttackConfig& cfg)
-    : cfg_(cfg),
-      rng_(cfg.seed),
-      interarrival_(cfg.packets_per_second),
-      next_time_(cfg.start_time) {
+namespace {
+
+/// Rejects a config the source cannot run; it checks before the members are
+/// built because the interarrival distribution needs a positive rate.
+const AttackConfig& validated(const AttackConfig& cfg) {
   if (cfg.packets_per_second <= 0.0) {
     throw std::invalid_argument("AttackSource: non-positive rate");
   }
   if (cfg.source_count == 0) {
     throw std::invalid_argument("AttackSource: need at least one source");
   }
+  return cfg;
+}
+
+}  // namespace
+
+AttackSource::AttackSource(const AttackConfig& cfg)
+    : cfg_(validated(cfg)),
+      rng_(cfg.seed),
+      interarrival_(cfg.packets_per_second),
+      next_time_(cfg.start_time) {
   sources_.reserve(cfg.source_count);
   for (std::size_t i = 0; i < cfg.source_count; ++i) {
     // One host per distinct /16 so attack flows enter via different edges.

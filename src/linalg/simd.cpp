@@ -245,84 +245,6 @@ __attribute__((target("avx512f"))) void min_sq_dist_avx512(
 #endif  // JAAL_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// nearest_point: lanes are centroids (dimension-major storage); the arg-min
-// extracts lanes in ascending centroid order so ties resolve exactly like
-// the scalar first-index-wins scan.
-
-Nearest nearest_point_scalar(const double* dims, std::size_t stride,
-                             std::size_t d, std::size_t k,
-                             const double* v) noexcept {
-  Nearest out;
-  out.dist = std::numeric_limits<double>::max();
-  for (std::size_t c = 0; c < k; ++c) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < d; ++j) {
-      const double diff = v[j] - dims[j * stride + c];
-      acc += diff * diff;
-    }
-    if (acc < out.dist) {
-      out.dist = acc;
-      out.index = c;
-    }
-  }
-  return out;
-}
-
-#ifdef JAAL_SIMD_X86
-template <class VD>
-[[gnu::always_inline]] inline Nearest nearest_point_impl(
-    const double* dims, std::size_t stride, std::size_t d, std::size_t k,
-    const double* v) noexcept {
-  constexpr std::size_t kW = sizeof(VD) / sizeof(double);
-  Nearest out;
-  out.dist = std::numeric_limits<double>::max();
-  std::size_t c = 0;
-  for (; c + kW <= k; c += kW) {
-    VD acc;
-    splat(acc, 0.0);
-    for (std::size_t j = 0; j < d; ++j) {
-      VD cv;
-      std::memcpy(&cv, dims + j * stride + c, sizeof cv);
-      VD vj;
-      splat(vj, v[j]);
-      const VD diff = vj - cv;
-      acc += diff * diff;
-    }
-    for (std::size_t l = 0; l < kW; ++l) {
-      if (acc[l] < out.dist) {
-        out.dist = acc[l];
-        out.index = c + l;
-      }
-    }
-  }
-  for (; c < k; ++c) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < d; ++j) {
-      const double diff = v[j] - dims[j * stride + c];
-      acc += diff * diff;
-    }
-    if (acc < out.dist) {
-      out.dist = acc;
-      out.index = c;
-    }
-  }
-  return out;
-}
-
-__attribute__((target("avx2"))) Nearest nearest_point_avx2(
-    const double* dims, std::size_t stride, std::size_t d, std::size_t k,
-    const double* v) noexcept {
-  return nearest_point_impl<v4d>(dims, stride, d, k, v);
-}
-
-__attribute__((target("avx512f"))) Nearest nearest_point_avx512(
-    const double* dims, std::size_t stride, std::size_t d, std::size_t k,
-    const double* v) noexcept {
-  return nearest_point_impl<v8d>(dims, stride, d, k, v);
-}
-#endif  // JAAL_SIMD_X86
-
-// ---------------------------------------------------------------------------
 // Reductions: canonical 4-accumulator order at EVERY level.  Virtual lane
 // l accumulates elements i with i % 4 == l in ascending i; the final
 // combine is (l0 + l1) + (l2 + l3).  The scalar body below IS the
@@ -588,21 +510,6 @@ void nearest_centroids(const double* x, std::size_t stride, std::size_t d,
 #endif
   nearest_centroids_scalar(x, stride, d, centroids, k, begin, end, assignment,
                            best_dist);
-}
-
-Nearest nearest_point(const double* dims, std::size_t stride, std::size_t d,
-                      std::size_t k, const double* v) noexcept {
-#ifdef JAAL_SIMD_X86
-  switch (active()) {
-    case Level::kAvx512:
-      return nearest_point_avx512(dims, stride, d, k, v);
-    case Level::kAvx2:
-      return nearest_point_avx2(dims, stride, d, k, v);
-    case Level::kScalar:
-      break;
-  }
-#endif
-  return nearest_point_scalar(dims, stride, d, k, v);
 }
 
 }  // namespace jaal::linalg::simd

@@ -10,9 +10,9 @@
 // tests and benches).
 //
 // Determinism contract (see DESIGN.md "SIMD kernels & SoA layout"):
-//  * Per-point kernels (min_sq_dist, nearest_centroids, nearest_point)
-//    reduce over the p fields serially per lane, and lanes never interact —
-//    results are bit-identical to the scalar path at every dispatch level.
+//  * Per-point kernels (min_sq_dist, nearest_centroids) reduce over the p
+//    fields serially per lane, and lanes never interact — results are
+//    bit-identical to the scalar path at every dispatch level.
 //  * Reduction kernels (dot, pair_dots) use a fixed canonical 4-accumulator
 //    order at every level; the 8-wide level deliberately runs the 4-wide
 //    reduction body because folding 8 lanes to 4 would regroup the sums.
@@ -84,18 +84,5 @@ void nearest_centroids(const double* x, std::size_t stride, std::size_t d,
                        const double* centroids, std::size_t k,
                        std::size_t begin, std::size_t end,
                        std::size_t* assignment, double* best_dist) noexcept;
-
-struct Nearest {
-  std::size_t index = 0;
-  double dist = 0.0;
-};
-
-/// Nearest centroid for ONE point v (length d) against centroids stored
-/// dimension-major: coordinate j of centroid c lives at dims[j*stride + c].
-/// Lanes are centroids; the arg-min scan is first-index-wins like the
-/// scalar loop.  This is the streaming mini-batch inner loop.
-[[nodiscard]] Nearest nearest_point(const double* dims, std::size_t stride,
-                                    std::size_t d, std::size_t k,
-                                    const double* v) noexcept;
 
 }  // namespace jaal::linalg::simd

@@ -86,6 +86,14 @@ class Reader {
     pos_ += n;
     return out;
   }
+  /// Reads an element count and checks that `n` elements of `each` bytes
+  /// are still in the frame, so a corrupt count throws before the caller
+  /// allocates for it.
+  std::uint32_t count(std::size_t each) {
+    const std::uint32_t n = u32();
+    need(std::size_t{n} * each);
+    return n;
+  }
   void expect_end() const {
     if (pos_ != bytes_.size()) {
       throw std::runtime_error("proto: trailing bytes in frame");
@@ -93,8 +101,11 @@ class Reader {
   }
 
  private:
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return bytes_.size() - pos_;
+  }
   void need(std::size_t n) const {
-    if (pos_ + n > bytes_.size()) {
+    if (n > remaining()) {
       throw std::runtime_error("proto: truncated frame body");
     }
   }
@@ -104,6 +115,8 @@ class Reader {
 
 /// Packet records travel as wire-format headers plus the timestamp; the
 /// ground-truth label is experiment metadata and never crosses the wire.
+constexpr std::size_t kPacketBytes = 8 + packet::kHeadersBytes;
+
 void put_packet(std::vector<std::uint8_t>& out,
                 const packet::PacketRecord& pkt) {
   put_f64(out, pkt.timestamp);
@@ -194,7 +207,7 @@ Message decode(std::span<const std::uint8_t> frame) {
     case kTagRawRequest: {
       RawPacketRequest m;
       m.epoch = r.u32();
-      const std::uint32_t n = r.u32();
+      const std::uint32_t n = r.count(4);
       m.centroids.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) m.centroids.push_back(r.u32());
       r.expect_end();
@@ -203,7 +216,7 @@ Message decode(std::span<const std::uint8_t> frame) {
     case kTagRawResponse: {
       RawPacketResponse m;
       m.epoch = r.u32();
-      const std::uint32_t n = r.u32();
+      const std::uint32_t n = r.count(kPacketBytes);
       m.packets.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) m.packets.push_back(get_packet(r));
       r.expect_end();

@@ -450,6 +450,9 @@ TimeShardLog::load_sidecar(std::uint64_t index,
     return std::nullopt;
   }
   const std::uint64_t count = get_u64_at(d + 32);
+  // Bound the count by the file size before multiplying: count * 16 wraps
+  // for count >= 2^60 and could then pass the size and CRC checks.
+  if (count > (map.size() - kIndexHeaderBytes - 4) / 16) return std::nullopt;
   const std::uint64_t body = kIndexHeaderBytes + count * 16;
   if (map.size() != body + 4) return std::nullopt;
   if (crc32({d, static_cast<std::size_t>(body)}) !=

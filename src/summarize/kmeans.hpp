@@ -56,9 +56,10 @@ struct KMeansResult {
 /// `centroids` (k x d, row-major): fills assignment[i] / best_dist[i] through
 /// the dispatched SIMD kernel, fanning out over `pool` when given.  Each
 /// point is one lane, so the bits are identical across thread counts and
-/// dispatch levels.  Exposed for reuse by the Summarizer's mini-batch path
-/// (one SoA conversion, many probes).  Throws std::invalid_argument on
-/// dimension or output-size mismatch.
+/// dispatch levels.  This is the assignment step of kmeans() and
+/// weighted_kmeans(); it is public so benches and tests can drive it on one
+/// SoA batch directly.  Throws std::invalid_argument on dimension or
+/// output-size mismatch.
 void assign_to_centroids(const linalg::SoaMatrix& x,
                          const linalg::Matrix& centroids,
                          std::span<std::size_t> assignment,

@@ -73,14 +73,31 @@ class Reader {
     std::memcpy(&f, &bits, sizeof(f));
     return static_cast<double>(f);
   }
+  /// Reads an element count and checks that `n` elements of `each` bytes
+  /// are still in the buffer, so a corrupt count throws before the caller
+  /// allocates for it.
+  std::uint32_t count(std::size_t each) {
+    const std::uint32_t n = u32();
+    need(std::size_t{n} * each);
+    return n;
+  }
+  [[nodiscard]] std::size_t scalar_bytes() const noexcept {
+    return precision_ == WirePrecision::kFloat64 ? 8 : 4;
+  }
   [[nodiscard]] bool done() const noexcept { return pos_ == bytes_.size(); }
 
- private:
+  /// Bytes not yet consumed; every need() compares against it.
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return bytes_.size() - pos_;
+  }
+
   void need(std::size_t n) const {
-    if (pos_ + n > bytes_.size()) {
+    if (n > remaining()) {
       throw std::runtime_error("summary deserialize: truncated buffer");
     }
   }
+
+ private:
   std::span<const std::uint8_t> bytes_;
   WirePrecision precision_;
   std::size_t pos_ = 0;
@@ -98,6 +115,7 @@ linalg::Matrix get_matrix(Reader& r) {
   if (std::uint64_t{rows} * cols > (1u << 26)) {
     throw std::runtime_error("summary deserialize: implausible matrix size");
   }
+  r.need(std::size_t{rows} * cols * r.scalar_bytes());
   linalg::Matrix m(rows, cols);
   for (double& v : m.data()) v = r.scalar();
   return m;
@@ -210,7 +228,7 @@ MonitorSummary deserialize(std::span<const std::uint8_t> bytes) {
     CombinedSummary c;
     c.monitor = r.u32();
     c.centroids = get_matrix(r);
-    const std::uint32_t n = r.u32();
+    const std::uint32_t n = r.count(4);
     c.counts.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) c.counts.push_back(r.u32());
     c.check_invariants();
@@ -220,11 +238,11 @@ MonitorSummary deserialize(std::span<const std::uint8_t> bytes) {
     SplitSummary s;
     s.monitor = r.u32();
     s.u_centroids = get_matrix(r);
-    const std::uint32_t nr = r.u32();
+    const std::uint32_t nr = r.count(r.scalar_bytes());
     s.sigma.reserve(nr);
     for (std::uint32_t i = 0; i < nr; ++i) s.sigma.push_back(r.scalar());
     s.vt = get_matrix(r);
-    const std::uint32_t n = r.u32();
+    const std::uint32_t n = r.count(4);
     s.counts.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) s.counts.push_back(r.u32());
     s.check_invariants();

@@ -96,16 +96,23 @@ struct BackgroundTraffic::Impl {
     }
   }
 
-  explicit Impl(TraceProfile p, std::uint64_t seed)
-      : profile(std::move(p)),
-        rng(seed),
-        interarrival(profile.packets_per_second) {
-    if (profile.service_ports.empty()) {
+  /// Rejects a profile the generator cannot run; it checks before the
+  /// members are built because the interarrival distribution needs a
+  /// positive rate.
+  static TraceProfile validated(TraceProfile p) {
+    if (p.service_ports.empty()) {
       throw std::invalid_argument("BackgroundTraffic: empty service port mix");
     }
-    if (profile.packets_per_second <= 0.0) {
+    if (p.packets_per_second <= 0.0) {
       throw std::invalid_argument("BackgroundTraffic: non-positive rate");
     }
+    return p;
+  }
+
+  explicit Impl(TraceProfile p, std::uint64_t seed)
+      : profile(validated(std::move(p))),
+        rng(seed),
+        interarrival(profile.packets_per_second) {
     base_profile = profile;
     retilt();
     flows.reserve(profile.concurrent_flows);

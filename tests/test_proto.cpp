@@ -99,6 +99,22 @@ TEST(Proto, DecodeRejectsCorruption) {
   EXPECT_THROW((void)decode(extra), std::runtime_error);
 }
 
+TEST(Proto, DecodeChecksCountsBeforeAllocating) {
+  // A valid frame header and epoch, then an element count of 0xFFFFFFFF
+  // with only 4 bytes behind it: both raw-packet decoders must reject the
+  // count against the bytes left instead of reserving for it.
+  // Wire tags 3 and 4: RawPacketRequest and RawPacketResponse.
+  for (const std::uint8_t tag : {std::uint8_t{3}, std::uint8_t{4}}) {
+    const std::vector<std::uint8_t> frame = {
+        13,   0,    0,    0,     // length: tag + epoch + count + 4 bytes
+        tag,  5,    0,    0,    0,  // epoch 5
+        0xFF, 0xFF, 0xFF, 0xFF,  // count
+        1,    2,    3,    4};
+    EXPECT_THROW((void)decode(frame), std::runtime_error)
+        << "tag " << int{tag};
+  }
+}
+
 TEST(FrameReader, ReassemblesAcrossArbitraryChunks) {
   // Encode several messages, concatenate, feed byte by byte.
   std::vector<std::uint8_t> stream;

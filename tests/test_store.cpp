@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -335,6 +336,51 @@ TEST(TimeShard, TruncateAfterEpochCutsShardsAndRecords) {
 
   ASSERT_TRUE(log.truncate_after_epoch(std::nullopt));
   EXPECT_FALSE(log.last_epoch().has_value());
+}
+
+TEST(TimeShard, OverflowingSidecarCountFallsBackToWalk) {
+  TempDir dir("sidecar_count");
+  const auto payload = bytes_of("x");
+  std::string shard0;
+  {
+    TimeShardLog log({dir.str(), "t", 4}, /*writable=*/true);
+    for (std::uint64_t e = 0; e < 6; ++e) {
+      ASSERT_TRUE(log.append(e, static_cast<std::uint32_t>(e),
+                             RecordKind::kAlert, payload));
+    }
+    shard0 = log.shard_paths().front();  // finalized on the roll to [4,8)
+  }
+  // A 44-byte sidecar for shard 0 whose entry count is 2^60: count * 16
+  // wraps to 0, so the size and CRC checks alone would accept it.
+  std::vector<std::uint8_t> idx(kIndexHeaderBytes + 4, 0);
+  const auto put_u64 = [&](std::size_t at, std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      idx[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
+    }
+  };
+  std::memcpy(idx.data(), kIndexMagic, sizeof(kIndexMagic));
+  // Format version in [8,12), record schema hash in [12,16).
+  put_u64(8, std::uint64_t{kRecordSchemaHash} << 32 | kIndexFormatVersion);
+  put_u64(16, 0);                        // shard first epoch
+  put_u64(24, fs::file_size(shard0));    // data end
+  put_u64(32, std::uint64_t{1} << 60);   // entry count
+  const std::uint32_t crc = crc32({idx.data(), kIndexHeaderBytes});
+  for (int b = 0; b < 4; ++b) {
+    idx[kIndexHeaderBytes + b] = static_cast<std::uint8_t>(crc >> (8 * b));
+  }
+  {
+    std::ofstream out(dir.str() + "/t.000000.jidx", std::ios::binary);
+    out.write(reinterpret_cast<const char*>(idx.data()),
+              static_cast<std::streamsize>(idx.size()));
+  }
+
+  TimeShardLog reader({dir.str(), "t", 4}, /*writable=*/false);
+  std::vector<std::uint32_t> streams;
+  EXPECT_NO_THROW(reader.for_each_in_epoch(2, [&](const RecordView& r) {
+    streams.push_back(r.stream);
+    return true;
+  }));
+  EXPECT_EQ(streams, std::vector<std::uint32_t>{2});
 }
 
 // ------------------------------------------------------- deployment store

@@ -144,37 +144,6 @@ TEST(Summarizer, DeterministicAcrossInstancesWithSameSeed) {
   EXPECT_EQ(serialize(oa.summary), serialize(ob.summary));
 }
 
-TEST(Summarizer, RandomizedSvdVariantProducesEquivalentQuality) {
-  const auto packets = batch(800, 6);
-  SummarizerConfig exact_cfg = config(800, 12, 100);
-  SummarizerConfig rand_cfg = exact_cfg;
-  rand_cfg.svd_backend = SvdBackend::kRandomized;
-
-  auto quantization = [&](const SummarizeOutput& out) {
-    const CombinedSummary combined =
-        std::holds_alternative<SplitSummary>(out.summary)
-            ? std::get<SplitSummary>(out.summary).reconstruct()
-            : std::get<CombinedSummary>(out.summary);
-    double total = 0.0;
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      const auto v = packet::to_normalized_vector(packets[i]);
-      const auto c = combined.centroids.row(out.assignment[i]);
-      double err = 0.0;
-      for (std::size_t j = 0; j < packet::kFieldCount; ++j) {
-        err += std::abs(v[j] - c[j]);
-      }
-      total += err / packet::kFieldCount;
-    }
-    return total / static_cast<double>(packets.size());
-  };
-
-  Summarizer exact(exact_cfg);
-  Summarizer randomized(rand_cfg);
-  const double exact_err = quantization(exact.summarize(packets));
-  const double rand_err = quantization(randomized.summarize(packets));
-  EXPECT_LT(rand_err, exact_err * 1.3 + 0.01);
-}
-
 TEST(Summarizer, TinyRankStillWorks) {
   Summarizer s(config(600, 1, 10));
   const auto out = s.summarize(batch(600));

@@ -133,6 +133,49 @@ TEST(Summary, DeserializeRejectsGarbage) {
   EXPECT_THROW((void)deserialize(bytes), std::runtime_error);
 }
 
+TEST(Summary, DeserializeChecksCountsBeforeAllocating) {
+  // A valid header, then one length field set to 0xFFFFFFFF and only 4
+  // bytes behind it: the decoder must reject the count against the bytes
+  // left instead of reserving up to 32 GiB for it.
+  const auto header = [](std::uint8_t tag) {
+    return std::vector<std::uint8_t>{
+        kWireMagic, static_cast<std::uint8_t>(WirePrecision::kFloat32), tag,
+        7, 0, 0, 0};  // monitor id
+  };
+  const auto put = [](std::vector<std::uint8_t>& out, std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+    }
+  };
+  constexpr std::uint8_t kCombined = 1, kSplit = 2;
+  std::vector<std::vector<std::uint8_t>> cases;
+  {  // Combined: empty centroid matrix, huge counts length.
+    auto b = header(kCombined);
+    put(b, 0), put(b, 0), put(b, 0xFFFFFFFFu), put(b, 0);
+    cases.push_back(b);
+  }
+  {  // Split: empty U, huge sigma length.
+    auto b = header(kSplit);
+    put(b, 0), put(b, 0), put(b, 0xFFFFFFFFu), put(b, 0);
+    cases.push_back(b);
+  }
+  {  // Split: empty U, sigma and V^T, huge counts length.
+    auto b = header(kSplit);
+    put(b, 0), put(b, 0), put(b, 0), put(b, 0), put(b, 0);
+    put(b, 0xFFFFFFFFu), put(b, 0);
+    cases.push_back(b);
+  }
+  {  // Combined: a 2^13 x 2^13 matrix (at the size cap) with 4 bytes of data.
+    auto b = header(kCombined);
+    put(b, 1u << 13), put(b, 1u << 13), put(b, 0);
+    cases.push_back(b);
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_THROW((void)deserialize(cases[i]), std::runtime_error)
+        << "case " << i;
+  }
+}
+
 TEST(Summary, WireFormatIsVersioned) {
   const auto f32 = serialize(MonitorSummary{sample_combined()});
   ASSERT_GE(f32.size(), 2u);
