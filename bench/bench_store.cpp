@@ -2,15 +2,19 @@
 // layer.  A short live run seeds realistic summaries; the bench then
 // streams thousands of epochs of them through a DeploymentStore (append +
 // commit protocol, shard rolls included), scans the resulting log
-// zero-copy, and replays it through the inference engine.
+// zero-copy, and replays it through the inference engine.  A last row
+// times the record CRC on its own against the bytewise loop it replaced.
 //
 //   $ ./bench_store
 //
 // Emits BENCH_store.json; the *_per_sec keys are tracked against
-// bench/baselines/BENCH_store.json by bench/check_bench_regression.py.
+// bench/baselines/BENCH_store.json by bench/check_bench_regression.py,
+// which also holds the crc32 row's speedup to an absolute floor.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <random>
 #include <vector>
 
 #include "common.hpp"
@@ -53,6 +57,36 @@ std::vector<summarize::MonitorSummary> seed_summaries(const fs::path& dir) {
     return true;
   });
   return out;
+}
+
+/// The store's original bytewise CRC-32 loop: the baseline of the crc32
+/// row.
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> bytes) {
+  static const std::vector<std::uint32_t> table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t b : bytes) {
+    c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+/// MB/s of one `crc` pass over `buf`.
+template <typename Crc>
+double crc_mb_per_sec(const std::vector<std::uint8_t>& buf, Crc crc) {
+  const auto t0 = std::chrono::steady_clock::now();
+  volatile std::uint32_t sink = crc(std::span<const std::uint8_t>(buf));
+  (void)sink;
+  return static_cast<double>(buf.size()) / 1e6 / seconds_since(t0);
 }
 
 }  // namespace
@@ -140,6 +174,25 @@ int main() {
   const double replay_epochs_per_sec =
       static_cast<double>(replayed) / replay_s;
 
+  // ---- crc32: the record checksum alone, library vs the bytewise loop,
+  // on one 64 MiB buffer (alternating sides, best of three each).
+  std::vector<std::uint8_t> crc_buf(64u << 20);
+  {
+    std::mt19937_64 rng(5);
+    for (auto& b : crc_buf) b = static_cast<std::uint8_t>(rng());
+  }
+  if (store::crc32(crc_buf) != bytewise_crc32(crc_buf)) {
+    std::fprintf(stderr, "crc32 disagrees with the bytewise loop\n");
+    return 1;
+  }
+  double crc_bytewise_mb = 0.0, crc_mb = 0.0;
+  for (int round = 0; round < 3; ++round) {
+    crc_bytewise_mb =
+        std::max(crc_bytewise_mb, crc_mb_per_sec(crc_buf, bytewise_crc32));
+    crc_mb = std::max(crc_mb, crc_mb_per_sec(crc_buf, store::crc32));
+  }
+  const double crc_speedup = crc_mb / crc_bytewise_mb;
+
   std::printf("  corpus: %zu live summaries, %zu epochs x %zu/epoch\n",
               corpus.size(), kEpochs, kPerEpoch);
   std::printf("  append: %8.0f summaries/s  %7.1f MB/s  (%.3f s)\n",
@@ -148,6 +201,8 @@ int main() {
               scan_records_per_sec, scan_mb_per_sec, scan_s);
   std::printf("  replay: %8.0f epochs/s    %zu alert(s)  (%.3f s)\n",
               replay_epochs_per_sec, replay_alerts, replay_s);
+  std::printf("  crc32:  %8.1f MB/s (bytewise %.1f MB/s, %.2fx)\n", crc_mb,
+              crc_bytewise_mb, crc_speedup);
 
   bench::write_bench_json(
       "store",
@@ -159,6 +214,10 @@ int main() {
            {"records_per_sec", scan_records_per_sec},
            {"mb_per_sec", scan_mb_per_sec}},
           {{"replay", 1}, {"epochs_per_sec", replay_epochs_per_sec}},
+          {{"crc32", 1},
+           {"mb_per_sec", crc_mb},
+           {"bytewise_mb_per_sec", crc_bytewise_mb},
+           {"speedup", crc_speedup}},
       },
       {{"epochs", std::to_string(kEpochs)},
        {"summaries_per_epoch", std::to_string(kPerEpoch)}});

@@ -17,7 +17,23 @@ constexpr std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+/// Slice-by-16 tables: kCrcTables[0] is the bytewise table above, and
+/// kCrcTables[k][i] is the CRC state of byte i followed by k zero bytes, so
+/// one step folds 16 input bytes with 16 independent lookups.
+constexpr std::array<std::array<std::uint32_t, 256>, 16> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 16> tables{};
+  tables[0] = make_crc_table();
+  for (std::size_t k = 1; k < 16; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr std::array<std::array<std::uint32_t, 256>, 16> kCrcTables =
+    make_crc_tables();
 
 void put_u32(std::uint8_t* out, std::uint32_t v) noexcept {
   out[0] = static_cast<std::uint8_t>(v & 0xFF);
@@ -34,10 +50,25 @@ std::uint32_t get_u32(const std::uint8_t* in) noexcept {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept {
+  const auto& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::uint8_t b : bytes) {
-    c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 16; p += 16, n -= 16) {
+    const std::uint32_t w0 = get_u32(p) ^ c;
+    const std::uint32_t w1 = get_u32(p + 4);
+    const std::uint32_t w2 = get_u32(p + 8);
+    const std::uint32_t w3 = get_u32(p + 12);
+    c = t[15][w0 & 0xFFu] ^ t[14][(w0 >> 8) & 0xFFu] ^
+        t[13][(w0 >> 16) & 0xFFu] ^ t[12][w0 >> 24] ^
+        t[11][w1 & 0xFFu] ^ t[10][(w1 >> 8) & 0xFFu] ^
+        t[9][(w1 >> 16) & 0xFFu] ^ t[8][w1 >> 24] ^
+        t[7][w2 & 0xFFu] ^ t[6][(w2 >> 8) & 0xFFu] ^
+        t[5][(w2 >> 16) & 0xFFu] ^ t[4][w2 >> 24] ^
+        t[3][w3 & 0xFFu] ^ t[2][(w3 >> 8) & 0xFFu] ^
+        t[1][(w3 >> 16) & 0xFFu] ^ t[0][w3 >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

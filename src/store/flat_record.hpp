@@ -54,7 +54,8 @@ struct RecordView {
 };
 
 /// CRC-32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF) — the standard
-/// zlib polynomial, table-driven.
+/// zlib polynomial, slice-by-16 (16 bytes per step through sixteen 256-entry
+/// tables, then a bytewise tail).
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes)
     noexcept;
 

@@ -43,8 +43,8 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 
 /// Walks records in [kShardHeaderBytes, limit) of a mapped shard, invoking
 /// fn for each; returns false when fn asked to stop.
-bool iterate_shard(std::span<const std::uint8_t> bytes,
-                   const std::function<bool(const RecordView&)>& fn) {
+template <typename Fn>
+bool iterate_shard(std::span<const std::uint8_t> bytes, Fn&& fn) {
   std::size_t offset = kShardHeaderBytes;
   while (auto rec = next_record(bytes, offset)) {
     if (!fn(*rec)) return false;
@@ -544,13 +544,32 @@ void TimeShardLog::for_each_in_epoch(
   });
 }
 
-std::optional<std::uint64_t> TimeShardLog::last_epoch() const {
-  std::optional<std::uint64_t> last;
-  for_each([&](const RecordView& rec) {
-    last = rec.epoch;
-    return true;
-  });
-  return last;
+std::optional<std::uint64_t> TimeShardLog::last_epoch(
+    std::optional<RecordKind> kind) const noexcept {
+  // Frames chain only forward, so each shard is walked from its header; but
+  // the shards go newest first, and the first one holding a match has the
+  // answer.  The constructor checked that every listed shard opens with a
+  // valid header, so for_each visits them all and its last match is this.
+  // (A shard removed from under the log since then is skipped.)
+  for (auto it = shard_indices_.rbegin(); it != shard_indices_.rend(); ++it) {
+    std::optional<std::uint64_t> last;
+    const auto match = [&](const RecordView& rec) {
+      if (tel_scan_bytes_ != nullptr) {
+        tel_scan_bytes_->add(kRecordHeaderBytes + rec.payload.size());
+      }
+      if (!kind || rec.kind == *kind) last = rec.epoch;
+      return true;
+    };
+    if (writable_ && tail_.is_open() && *it == tail_index_) {
+      (void)iterate_shard({tail_.data(), tail_used_}, match);
+    } else {
+      FlatMmap map;
+      if (!map.open(shard_path(*it), false) || !header_ok(map, *it)) continue;
+      (void)iterate_shard({map.data(), map.size()}, match);
+    }
+    if (last) return last;
+  }
+  return std::nullopt;
 }
 
 std::vector<std::string> TimeShardLog::shard_paths() const {

@@ -266,18 +266,26 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Summary serialization round-trips across formats/shapes ---------------
 
+// Named like TopoParams above: `split` was followed by seven uninitialised
+// padding bytes that the raw dump printed, so each case now carries its
+// dump with that padding as zeros.
 struct SummaryShape {
   std::size_t n;
   std::size_t r;
   std::size_t k;
   bool split;
+  const char* ctest_name;
 };
+
+void PrintTo(const SummaryShape& shape, std::ostream* os) {
+  *os << shape.ctest_name;
+}
 
 class SummarySerializationProperty
     : public ::testing::TestWithParam<SummaryShape> {};
 
 TEST_P(SummarySerializationProperty, SerializeDeserializeIdentity) {
-  const auto [n, r, k, split] = GetParam();
+  const auto& [n, r, k, split, ctest_name] = GetParam();
   trace::BackgroundTraffic gen(trace::trace1_profile(), n + r + k);
   const auto batch = trace::take(gen, n);
   summarize::SummarizerConfig cfg;
@@ -303,12 +311,31 @@ TEST_P(SummarySerializationProperty, SerializeDeserializeIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SummarySerializationProperty,
-    ::testing::Values(SummaryShape{300, 6, 30, true},
-                      SummaryShape{300, 6, 30, false},
-                      SummaryShape{500, 12, 100, true},
-                      SummaryShape{500, 12, 100, false},
-                      SummaryShape{200, 18, 200, false},
-                      SummaryShape{128, 1, 8, true}));
+    ::testing::Values(
+        SummaryShape{300, 6, 30, true,
+                     "32-byte object <2C-01 00-00 00-00 00-00 "
+                     "06-00 00-00 00-00 00-00 1E-00 00-00 00-00 00-00 "
+                     "01-00 00-00 00-00 00-00>"},
+        SummaryShape{300, 6, 30, false,
+                     "32-byte object <2C-01 00-00 00-00 00-00 "
+                     "06-00 00-00 00-00 00-00 1E-00 00-00 00-00 00-00 "
+                     "00-00 00-00 00-00 00-00>"},
+        SummaryShape{500, 12, 100, true,
+                     "32-byte object <F4-01 00-00 00-00 00-00 "
+                     "0C-00 00-00 00-00 00-00 64-00 00-00 00-00 00-00 "
+                     "01-00 00-00 00-00 00-00>"},
+        SummaryShape{500, 12, 100, false,
+                     "32-byte object <F4-01 00-00 00-00 00-00 "
+                     "0C-00 00-00 00-00 00-00 64-00 00-00 00-00 00-00 "
+                     "00-00 00-00 00-00 00-00>"},
+        SummaryShape{200, 18, 200, false,
+                     "32-byte object <C8-00 00-00 00-00 00-00 "
+                     "12-00 00-00 00-00 00-00 C8-00 00-00 00-00 00-00 "
+                     "00-00 00-00 00-00 00-00>"},
+        SummaryShape{128, 1, 8, true,
+                     "32-byte object <80-00 00-00 00-00 00-00 "
+                     "01-00 00-00 00-00 00-00 08-00 00-00 00-00 00-00 "
+                     "01-00 00-00 00-00 00-00>"}));
 
 // --- Port/address spec algebra ---------------------------------------------
 

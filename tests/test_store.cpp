@@ -12,6 +12,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -53,6 +57,46 @@ TEST(FlatRecord, Crc32MatchesKnownVector) {
   const auto check = bytes_of("123456789");
   EXPECT_EQ(crc32(check), 0xCBF43926u);
   EXPECT_EQ(crc32({}), 0x00000000u);
+}
+
+/// The bytewise CRC-32 loop the store shipped first, kept verbatim as the
+/// reference the sliced implementation must reproduce.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> bytes) {
+  static const std::vector<std::uint32_t> table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t b : bytes) {
+    c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(FlatRecord, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..4096 at every start offset 0..15 covers each split of
+  // a buffer into 16-byte steps and a bytewise tail, at every alignment.
+  std::mt19937_64 rng(17);
+  std::vector<std::uint8_t> buf(4096 + 16);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::span<const std::uint8_t> bytes(buf.data() + offset, len);
+      ASSERT_EQ(crc32(bytes), reference_crc32(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  for (const std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+    const std::vector<std::uint8_t> mib(1 << 20, fill);
+    EXPECT_EQ(crc32(mib), reference_crc32(mib)) << "fill " << int{fill};
+  }
 }
 
 TEST(FlatRecord, HeaderRoundTripsLittleEndian) {
@@ -381,6 +425,218 @@ TEST(TimeShard, OverflowingSidecarCountFallsBackToWalk) {
     return true;
   }));
   EXPECT_EQ(streams, std::vector<std::uint32_t>{2});
+}
+
+// ----------------------------------------------------- commit horizon
+
+constexpr std::uint64_t kHorizonWidth = 4;
+const char* const kStoreLogs[] = {"summaries", "alerts", "provenance", "ops"};
+
+std::vector<std::uint8_t> random_payload(std::mt19937_64& rng) {
+  std::vector<std::uint8_t> out(1 + rng() % 200);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+/// Writes a seeded multi-shard store log by log: each epoch in
+/// [0, epochs) gets 1-3 summaries, then its EpochMeta when `committed(e)`,
+/// and one record in each of the other three logs.
+template <typename Committed>
+void write_seeded_store(const std::string& dir, std::uint64_t seed,
+                        std::uint64_t epochs, Committed committed) {
+  std::mt19937_64 rng(seed);
+  TimeShardLog summaries({dir, "summaries", kHorizonWidth}, true);
+  TimeShardLog alerts({dir, "alerts", kHorizonWidth}, true);
+  TimeShardLog provenance({dir, "provenance", kHorizonWidth}, true);
+  TimeShardLog ops({dir, "ops", kHorizonWidth}, true);
+  for (std::uint64_t e = 0; e < epochs; ++e) {
+    const std::size_t n = 1 + rng() % 3;
+    for (std::size_t m = 0; m < n; ++m) {
+      ASSERT_TRUE(summaries.append(e, static_cast<std::uint32_t>(m),
+                                   RecordKind::kSummary,
+                                   random_payload(rng)));
+    }
+    if (committed(e)) {
+      ASSERT_TRUE(summaries.append(e, 0, RecordKind::kEpochMeta,
+                                   random_payload(rng)));
+    }
+    ASSERT_TRUE(alerts.append(e, 1, RecordKind::kAlert, random_payload(rng)));
+    ASSERT_TRUE(provenance.append(e, 1, RecordKind::kProvenance,
+                                  random_payload(rng)));
+    ASSERT_TRUE(ops.append(e, 0, RecordKind::kMetrics, random_payload(rng)));
+  }
+}
+
+/// The commit horizon as a forward walk finds it: the last EpochMeta seen.
+std::optional<std::uint64_t> forward_horizon(const TimeShardLog& log) {
+  std::optional<std::uint64_t> last;
+  log.for_each([&](const RecordView& rec) {
+    if (rec.kind == RecordKind::kEpochMeta) last = rec.epoch;
+    return true;
+  });
+  return last;
+}
+
+/// Asserts the newest-first horizon equals the forward walk's for a reader
+/// and then a writer open of the summaries log; returns it.
+std::optional<std::uint64_t> checked_horizon(const std::string& dir) {
+  std::optional<std::uint64_t> horizon;
+  {
+    const TimeShardLog reader({dir, "summaries", kHorizonWidth}, false);
+    horizon = forward_horizon(reader);
+    EXPECT_EQ(reader.last_epoch(RecordKind::kEpochMeta), horizon);
+  }
+  const TimeShardLog writer({dir, "summaries", kHorizonWidth}, true);
+  EXPECT_EQ(writer.last_epoch(RecordKind::kEpochMeta), forward_horizon(writer));
+  EXPECT_EQ(writer.last_epoch(RecordKind::kEpochMeta), horizon);
+  return horizon;
+}
+
+fs::path summaries_shard(const TempDir& dir, std::uint64_t index) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "summaries.%06llu.jstore",
+                static_cast<unsigned long long>(index));
+  return dir.path / name;
+}
+
+std::uint64_t seeded_epochs(std::uint64_t seed) {
+  // 9-16 epochs: three or four shards, the last one often partly filled.
+  return 2 * kHorizonWidth + 1 + seed * 5 % (2 * kHorizonWidth);
+}
+
+std::uint64_t tail_first_epoch(std::uint64_t epochs) {
+  return (epochs - 1) / kHorizonWidth * kHorizonWidth;
+}
+
+TEST(CommitHorizon, TailWithoutEpochMetaFallsBackToPreviousShard) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    TempDir dir("horizon_nometa");
+    const std::uint64_t epochs = seeded_epochs(seed);
+    const std::uint64_t tail = tail_first_epoch(epochs);
+    write_seeded_store(dir.str(), seed, epochs,
+                       [&](std::uint64_t e) { return e < tail; });
+    EXPECT_EQ(checked_horizon(dir.str()),
+              std::optional<std::uint64_t>{tail - 1})
+        << "seed " << seed;
+  }
+}
+
+TEST(CommitHorizon, TornRecordBeforeTailsFirstEpochMetaHidesIt) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    TempDir dir("horizon_torn");
+    const std::uint64_t epochs = seeded_epochs(seed);
+    write_seeded_store(dir.str(), seed, epochs,
+                       [](std::uint64_t) { return true; });
+    // Flip a payload byte of the tail's first record (a summary, which
+    // precedes the epoch's meta): every frame after it is torn tail.
+    const fs::path tail =
+        summaries_shard(dir, tail_first_epoch(epochs) / kHorizonWidth);
+    ASSERT_TRUE(fs::exists(tail));
+    {
+      std::fstream f(tail, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekg(kShardHeaderBytes + kRecordHeaderBytes);
+      const char b = static_cast<char>(f.get() ^ 0x5A);
+      f.seekp(kShardHeaderBytes + kRecordHeaderBytes);
+      f.put(b);
+    }
+    EXPECT_EQ(checked_horizon(dir.str()),
+              std::optional<std::uint64_t>{tail_first_epoch(epochs) - 1})
+        << "seed " << seed;
+  }
+}
+
+TEST(CommitHorizon, FreshlyRolledEmptyTailFallsBackToPreviousShard) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    TempDir dir("horizon_empty");
+    const std::uint64_t epochs = seeded_epochs(seed) / kHorizonWidth *
+                                 kHorizonWidth;  // whole shards only
+    write_seeded_store(dir.str(), seed, epochs,
+                       [](std::uint64_t) { return true; });
+    // A roll that landed its header and pre-allocated (zeroed) capacity but
+    // no record: shard 0's header with the next shard's first epoch.
+    std::vector<char> shard(64 * 1024, 0);
+    {
+      std::ifstream in(summaries_shard(dir, 0), std::ios::binary);
+      in.read(shard.data(), kShardHeaderBytes);
+    }
+    const std::uint64_t index = epochs / kHorizonWidth;
+    for (int b = 0; b < 8; ++b) {
+      shard[16 + b] =
+          static_cast<char>((index * kHorizonWidth) >> (8 * b) & 0xFF);
+    }
+    {
+      std::ofstream out(summaries_shard(dir, index), std::ios::binary);
+      out.write(shard.data(), static_cast<std::streamsize>(shard.size()));
+    }
+    EXPECT_EQ(checked_horizon(dir.str()),
+              std::optional<std::uint64_t>{epochs - 1})
+        << "seed " << seed;
+  }
+}
+
+TEST(CommitHorizon, NoEpochMetaAnywhereIsNullopt) {
+  {
+    TempDir dir("horizon_empty_dir");
+    EXPECT_EQ(checked_horizon(dir.str()), std::nullopt);
+  }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    TempDir dir("horizon_none");
+    write_seeded_store(dir.str(), seed, seeded_epochs(seed),
+                       [](std::uint64_t) { return false; });
+    EXPECT_EQ(checked_horizon(dir.str()), std::nullopt) << "seed " << seed;
+    const TimeShardLog reader({dir.str(), "summaries", kHorizonWidth}, false);
+    EXPECT_EQ(reader.last_epoch(), seeded_epochs(seed) - 1);
+  }
+}
+
+/// Every file under `dir`, by name, with its bytes.
+std::map<std::string, std::string> dir_contents(const fs::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    out[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return out;
+}
+
+TEST(CommitHorizon, WriterReopenTruncatesAllLogsLikeAForwardWalk) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    TempDir dir("horizon_reopen");
+    TempDir ref("horizon_reopen_ref");
+    const std::uint64_t epochs = seeded_epochs(seed);
+    // The last one or two epochs never committed, in every log.
+    const std::uint64_t horizon = epochs - 1 - seed % 2 - 1;
+    write_seeded_store(dir.str(), seed, epochs,
+                       [&](std::uint64_t e) { return e <= horizon; });
+    {
+      // And a torn append on the summaries tail.
+      const TimeShardLog probe({dir.str(), "summaries", kHorizonWidth},
+                               false);
+      std::ofstream f(probe.shard_paths().back(),
+                      std::ios::binary | std::ios::app);
+      f << "torn append";
+    }
+    fs::copy(dir.path, ref.path, fs::copy_options::recursive);
+    {
+      const DeploymentStore store({dir.str(), kHorizonWidth}, true);
+      EXPECT_EQ(store.last_committed_epoch(),
+                std::optional<std::uint64_t>{horizon});
+    }
+    {
+      // Reference recovery: the forward-walk horizon, each log cut to it.
+      std::vector<std::unique_ptr<TimeShardLog>> logs;
+      for (const char* prefix : kStoreLogs) {
+        logs.push_back(std::make_unique<TimeShardLog>(
+            TimeShardConfig{ref.str(), prefix, kHorizonWidth}, true));
+      }
+      const auto forward = forward_horizon(*logs[0]);
+      ASSERT_EQ(forward, std::optional<std::uint64_t>{horizon});
+      for (auto& log : logs) ASSERT_TRUE(log->truncate_after_epoch(forward));
+    }
+    EXPECT_EQ(dir_contents(dir.path), dir_contents(ref.path))
+        << "seed " << seed;
+  }
 }
 
 // ------------------------------------------------------- deployment store
